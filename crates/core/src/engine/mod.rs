@@ -31,6 +31,7 @@ use rand::SeedableRng;
 use holistic_cracking::{ConcurrentCrackerColumn, CorruptionInjector, CrackerColumn};
 use holistic_offline::{Advisor, CostModel, SortedIndex, WorkloadSummary};
 use holistic_online::OnlineTuner;
+use holistic_storage::scan::find_first;
 use holistic_storage::{Catalog, Column, ColumnId, RowId, StorageError, Table, TableId, Value};
 
 use crate::config::HolisticConfig;
@@ -373,25 +374,23 @@ impl Database {
     /// Multi-column tables would need whole-row updates, which the engine
     /// does not model — those return [`HolisticError::Unsupported`].
     pub fn insert(&mut self, column: ColumnId, value: Value) -> EngineResult<()> {
-        self.check_updatable(column)?;
-        self.wal_append(&persist::WalRecord::Insert { column, value })?;
-        self.apply_insert(column, value)
+        self.update_batch(&[UpdateOp::Insert { column, value }])
+            .map(|_| ())
     }
 
     /// Deletes the first occurrence of `value` from a single-column table
     /// (WAL-logged first, like [`Database::insert`]). Returns whether a
     /// row was deleted.
     pub fn delete(&mut self, column: ColumnId, value: Value) -> EngineResult<bool> {
-        self.check_updatable(column)?;
-        self.wal_append(&persist::WalRecord::Delete { column, value })?;
-        self.apply_delete(column, value)
+        Ok(self.update_batch(&[UpdateOp::Delete { column, value }])? == [true])
     }
 
     /// Applies a batch of updates with group-committed durability: every
     /// WAL record is appended and fsynced **once** for the whole batch,
-    /// then the updates apply in order. Per-element results mirror
-    /// [`Database::insert`] (always `true`) and [`Database::delete`]
-    /// (whether a row was removed).
+    /// then the updates apply together — one pass per touched column, not
+    /// one per element — with the outcome of applying them in order.
+    /// Per-element results mirror [`Database::insert`] (always `true`) and
+    /// [`Database::delete`] (whether a row was removed).
     ///
     /// Crash semantics are per-operation, not all-or-nothing: a torn
     /// append makes a durable *prefix* of the batch (records land in
@@ -408,23 +407,11 @@ impl Database {
         }
         let records: Vec<persist::WalRecord> = ops
             .iter()
-            .map(|op| match *op {
-                UpdateOp::Insert { column, value } => persist::WalRecord::Insert { column, value },
-                UpdateOp::Delete { column, value } => persist::WalRecord::Delete { column, value },
-            })
+            .copied()
+            .map(persist::WalRecord::Update)
             .collect();
         self.wal_append_batch(&records)?;
-        let mut applied = Vec::with_capacity(ops.len());
-        for op in ops {
-            applied.push(match *op {
-                UpdateOp::Insert { column, value } => {
-                    self.apply_insert(column, value)?;
-                    true
-                }
-                UpdateOp::Delete { column, value } => self.apply_delete(column, value)?,
-            });
-        }
-        Ok(applied)
+        self.apply_ops(ops)
     }
 
     fn check_updatable(&self, column: ColumnId) -> EngineResult<()> {
@@ -437,68 +424,105 @@ impl Database {
         Ok(())
     }
 
-    /// The in-memory part of an insert (shared with WAL replay).
-    fn apply_insert(&mut self, column: ColumnId, value: Value) -> EngineResult<()> {
-        let table = self.catalog.try_table_mut(column.table)?;
-        let base = table
-            .column_at_mut(column.column as usize)
-            .ok_or_else(|| StorageError::ColumnNotFound(format!("{column}")))?;
-        let rowid = base.len() as RowId;
-        base.append(value);
-        let len = base.len();
-        if let Some(cracker) = self.crackers.read().get(&column) {
-            cracker.insert(value, rowid);
+    /// The in-memory part of every update: [`Database::insert`],
+    /// [`Database::delete`], [`Database::update_batch`] and WAL replay all
+    /// apply through here, so forward execution and recovery cannot drift
+    /// apart. Returns, per element, what applying `ops` one at a time would
+    /// have returned, and leaves each base column bit-identical to that —
+    /// at the cost of one pass per touched column instead of one per
+    /// element.
+    fn apply_ops(&mut self, ops: &[UpdateOp]) -> EngineResult<Vec<bool>> {
+        let mut applied = vec![true; ops.len()];
+        // Updatable tables have one column each, so columns are independent
+        // and each one's ops can apply together, in batch order.
+        let mut by_column: BTreeMap<ColumnId, Vec<usize>> = BTreeMap::new();
+        for (i, op) in ops.iter().enumerate() {
+            by_column.entry(op.column()).or_default().push(i);
         }
-        self.invalidate_indexes(column);
-        self.stats.register_column(column, len);
+        for (column, indices) in by_column {
+            self.apply_column_ops(column, ops, &indices, &mut applied)?;
+        }
         self.touch_activity();
-        Ok(())
+        Ok(applied)
     }
 
-    /// The in-memory part of a run of inserts into one column: the batch
-    /// analogue of [`Database::apply_insert`], used by WAL replay to turn
-    /// K insert records into one base-column append and one batched
-    /// cracker ripple instead of K full piece-table sweeps.
-    fn apply_insert_batch(&mut self, column: ColumnId, values: &[Value]) -> EngineResult<()> {
+    /// Applies `ops[indices]` — all targeting `column` — as one change.
+    ///
+    /// Per-element results are resolved first, against the base column plus
+    /// an overlay of the batch's own inserts: sequential application appends
+    /// inserts at the end and deletes the *first* occurrence, so a delete
+    /// consumes the column's existing occurrences in position order before
+    /// it reaches a value inserted earlier in the batch. Then the change is
+    /// made once: one compaction pass and one append on the base column, one
+    /// delete sweep and one insert sweep per touched cracker shard, one round
+    /// of index invalidation and statistics registration.
+    fn apply_column_ops(
+        &mut self,
+        column: ColumnId,
+        ops: &[UpdateOp],
+        indices: &[usize],
+        applied: &mut [bool],
+    ) -> EngineResult<()> {
         let table = self.catalog.try_table_mut(column.table)?;
         let base = table
             .column_at_mut(column.column as usize)
             .ok_or_else(|| StorageError::ColumnNotFound(format!("{column}")))?;
-        let first_rowid = base.len() as RowId;
-        base.append_many(values);
-        let len = base.len();
-        if let Some(cracker) = self.crackers.read().get(&column) {
-            let batch: Vec<(Value, RowId)> = values
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v, first_rowid + i as RowId))
-                .collect();
-            cracker.insert_batch(&batch);
+        let existing = base.values();
+        // Surviving inserts with the row id sequential application would
+        // have handed them (the column's length at that moment).
+        let mut inserts: Vec<(Value, RowId)> = Vec::new();
+        let mut removed_rows: Vec<usize> = Vec::new();
+        let mut deletes: Vec<Value> = Vec::new();
+        // Per deleted value, where the search for its next existing
+        // occurrence resumes.
+        let mut resume: BTreeMap<Value, usize> = BTreeMap::new();
+        let mut len = existing.len();
+        for &i in indices {
+            match ops[i] {
+                UpdateOp::Insert { value, .. } => {
+                    inserts.push((value, len as RowId));
+                    len += 1;
+                }
+                UpdateOp::Delete { value, .. } => {
+                    let from = resume.get(&value).copied().unwrap_or(0);
+                    let hit = find_first(&existing[from..], value);
+                    resume.insert(value, hit.map_or(existing.len(), |off| from + off + 1));
+                    if let Some(off) = hit {
+                        removed_rows.push(from + off);
+                        deletes.push(value);
+                    } else if let Some(slot) = inserts.iter().position(|&(v, _)| v == value) {
+                        inserts.remove(slot);
+                    } else {
+                        applied[i] = false;
+                        continue;
+                    }
+                    len -= 1;
+                }
+            }
+        }
+        if !indices.iter().any(|&i| applied[i]) {
+            // Only deletes of values the column does not hold.
+            return Ok(());
+        }
+        removed_rows.sort_unstable();
+        base.remove_rows(&removed_rows);
+        let appended: Vec<Value> = inserts.iter().map(|&(v, _)| v).collect();
+        base.append_many(&appended);
+        debug_assert_eq!(base.len(), len);
+        let cracker = self.crackers.read().get(&column).map(Arc::clone);
+        if let Some(cracker) = cracker {
+            if cracker.delete_batch(&deletes).contains(&false) {
+                // The base held a value its cracker did not: the learned
+                // copy has diverged and must not keep answering. Queries
+                // fall back to the base until the tuner has rebuilt it.
+                self.quarantine_column(column, "cracker lost a value the base column holds");
+            } else {
+                cracker.insert_batch(&inserts);
+            }
         }
         self.invalidate_indexes(column);
         self.stats.register_column(column, len);
-        self.touch_activity();
         Ok(())
-    }
-
-    /// The in-memory part of a delete (shared with WAL replay).
-    fn apply_delete(&mut self, column: ColumnId, value: Value) -> EngineResult<bool> {
-        let table = self.catalog.try_table_mut(column.table)?;
-        let base = table
-            .column_at_mut(column.column as usize)
-            .ok_or_else(|| StorageError::ColumnNotFound(format!("{column}")))?;
-        if !base.remove_first(value) {
-            return Ok(false);
-        }
-        let len = base.len();
-        if let Some(cracker) = self.crackers.read().get(&column) {
-            let removed = cracker.delete(value);
-            debug_assert!(removed, "cracker out of sync with base column");
-        }
-        self.invalidate_indexes(column);
-        self.stats.register_column(column, len);
-        self.touch_activity();
-        Ok(true)
     }
 
     /// Drops the sorted auxiliary structures an update on `column` makes
@@ -1152,6 +1176,10 @@ impl Database {
                 self.config.hot_range_query_threshold,
             );
             if hot {
+                // The boost re-cracks pieces the answer was just read from,
+                // recomputing their sums: check them first, or the check
+                // after the query would find the evidence overwritten.
+                self.paranoia_check(q.column)?;
                 let mut applied = 0;
                 for _ in 0..self.config.boost_cracks_per_query {
                     let boost = cracker.refine_in_range(q.lo, q.hi, &mut rng);
@@ -1479,6 +1507,9 @@ impl Database {
                 .map(|q| (q.lo, q.hi))
                 .collect();
             if !hot_ranges.is_empty() {
+                // As in `exec_crack`: validate what the answers were read
+                // from before the boost overwrites it.
+                self.paranoia_check(column)?;
                 let boost = cracker.refine_in_ranges(
                     &hot_ranges,
                     self.config.boost_cracks_per_query,
@@ -2399,6 +2430,68 @@ mod tests {
         let summary = db.observed_workload();
         assert_eq!(summary.total_queries(), 20);
         assert!(summary.column(col).unwrap().avg_selectivity > 0.0);
+    }
+
+    #[test]
+    fn a_delete_the_cracker_cannot_mirror_quarantines_the_column() {
+        for extent in [0, 64] {
+            let config = HolisticConfig::for_testing().with_shard_extent(extent);
+            let mut db = Database::new(config, IndexingStrategy::Holistic);
+            let mut values = dataset(400);
+            let t = db.create_table("r", vec![("a", values.clone())]).unwrap();
+            let col = db.column_id(t, "a").unwrap();
+            db.execute(&Query::range(col, 100, 300)).unwrap();
+            // Force the divergence: the cracker alone loses a value.
+            let victim = values[17];
+            let cracker = db.crackers.read().get(&col).map(Arc::clone).unwrap();
+            assert!(cracker.delete(victim));
+            drop(cracker);
+            // The base applies the batch; the cracker cannot find the
+            // victim, so it must stop answering rather than stay one value
+            // short (a release build used to carry on).
+            let applied = db
+                .update_batch(&[
+                    UpdateOp::Insert {
+                        column: col,
+                        value: 1_000,
+                    },
+                    UpdateOp::Delete {
+                        column: col,
+                        value: victim,
+                    },
+                ])
+                .unwrap();
+            assert_eq!(applied, [true, true]);
+            values.retain(|&v| v != victim);
+            values.push(1_000);
+            assert!(
+                matches!(db.column_health(col), ColumnHealth::Quarantined { .. }),
+                "extent {extent}: {:?}",
+                db.column_health(col)
+            );
+            assert_eq!(db.piece_count(col), 0, "the diverged cracker is gone");
+            // Degraded answers come from the base column and are exact.
+            for (lo, hi) in [(0, 2_000), (victim, victim + 1), (1_000, 1_001)] {
+                let r = db.execute(&Query::range(col, lo, hi)).unwrap();
+                assert_eq!(r.count, scan_count(&values, lo, hi), "[{lo}, {hi})");
+            }
+            // Idle time rebuilds the cracker from the base; updates and
+            // queries then run on the healed column.
+            for _ in 0..64 {
+                if db.quarantined_columns().is_empty() {
+                    break;
+                }
+                db.run_idle(IdleBudget::Actions(8));
+            }
+            assert_eq!(db.column_health(col), ColumnHealth::Healthy);
+            assert!(db.delete(col, 1_000).unwrap());
+            values.pop();
+            let r = db.execute(&Query::range(col, 0, 2_000)).unwrap();
+            assert_eq!(r.count, values.len() as u64);
+            assert!(db.piece_count(col) > 0 && db.validate());
+            let integrity = db.metrics().integrity();
+            assert_eq!((integrity.quarantined, integrity.rebuilt), (1, 1));
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ use crate::config::HolisticConfig;
 use crate::error::HolisticError;
 use crate::strategy::IndexingStrategy;
 
-use super::{Database, EngineResult};
+use super::{Database, EngineResult, UpdateOp};
 
 /// Snapshot section: watermark + id counter + full-index set.
 const SECTION_META: u32 = 1;
@@ -112,20 +112,9 @@ pub(crate) enum WalRecord {
         /// The dropped table's id.
         id: TableId,
     },
-    /// A value was inserted into a (single-column) table.
-    Insert {
-        /// The targeted column.
-        column: ColumnId,
-        /// The inserted value.
-        value: Value,
-    },
-    /// The first occurrence of a value was deleted.
-    Delete {
-        /// The targeted column.
-        column: ColumnId,
-        /// The deleted value.
-        value: Value,
-    },
+    /// A value was inserted into, or its first occurrence deleted from, a
+    /// (single-column) table.
+    Update(UpdateOp),
     /// A full sorted index was built on the column.
     BuildFullIndex {
         /// The indexed column.
@@ -205,15 +194,14 @@ impl WalRecord {
                 e.put_u8(TAG_DROP_TABLE);
                 e.put_u32(id.0);
             }
-            WalRecord::Insert { column, value } => {
-                e.put_u8(TAG_INSERT);
-                put_column_id(&mut e, *column);
-                e.put_i64(*value);
-            }
-            WalRecord::Delete { column, value } => {
-                e.put_u8(TAG_DELETE);
-                put_column_id(&mut e, *column);
-                e.put_i64(*value);
+            WalRecord::Update(op) => {
+                let (tag, value) = match *op {
+                    UpdateOp::Insert { value, .. } => (TAG_INSERT, value),
+                    UpdateOp::Delete { value, .. } => (TAG_DELETE, value),
+                };
+                e.put_u8(tag);
+                put_column_id(&mut e, op.column());
+                e.put_i64(value);
             }
             WalRecord::BuildFullIndex { column } => {
                 e.put_u8(TAG_BUILD_FULL_INDEX);
@@ -250,14 +238,14 @@ impl WalRecord {
             TAG_DROP_TABLE => WalRecord::DropTable {
                 id: TableId(d.take_u32()?),
             },
-            TAG_INSERT => WalRecord::Insert {
+            TAG_INSERT => WalRecord::Update(UpdateOp::Insert {
                 column: take_column_id(&mut d)?,
                 value: d.take_i64()?,
-            },
-            TAG_DELETE => WalRecord::Delete {
+            }),
+            TAG_DELETE => WalRecord::Update(UpdateOp::Delete {
                 column: take_column_id(&mut d)?,
                 value: d.take_i64()?,
-            },
+            }),
             TAG_BUILD_FULL_INDEX => WalRecord::BuildFullIndex {
                 column: take_column_id(&mut d)?,
             },
@@ -675,21 +663,20 @@ impl Database {
             }
         }
         let mut max_lsn = watermark;
-        // Runs of consecutive inserts into the same column — the shape of
-        // a typical WAL tail — are coalesced and applied through the
-        // batched ripple: one piece-table sweep for the run instead of one
-        // per record. Any other record flushes the run first, so replay
-        // order is preserved exactly.
-        let mut pending_inserts: Option<(ColumnId, Vec<Value>)> = None;
-        fn flush_inserts(
+        // A run of consecutive update records — the shape of a typical WAL
+        // tail — replays as one batch through the same `apply_ops` the
+        // forward path uses. Any other record flushes the run first, so
+        // replay order is preserved exactly.
+        let mut run: Vec<UpdateOp> = Vec::new();
+        fn flush_run(
             db: &mut Database,
-            pending: &mut Option<(ColumnId, Vec<Value>)>,
+            run: &mut Vec<UpdateOp>,
             want_full_index: &mut BTreeSet<ColumnId>,
         ) -> EngineResult<()> {
-            if let Some((column, values)) = pending.take() {
-                db.apply_insert_batch(column, &values)
-                    .map_err(|e| HolisticError::Recovery(format!("WAL replay failed: {e}")))?;
-                want_full_index.remove(&column);
+            db.apply_ops(run)
+                .map_err(|e| HolisticError::Recovery(format!("WAL replay failed: {e}")))?;
+            for op in run.drain(..) {
+                want_full_index.remove(&op.column());
             }
             Ok(())
         }
@@ -703,17 +690,10 @@ impl Database {
             if lsn <= watermark {
                 continue;
             }
-            if let WalRecord::Insert { column, value } = &record {
-                match &mut pending_inserts {
-                    Some((c, values)) if c == column => values.push(*value),
-                    Some(_) => {
-                        flush_inserts(&mut db, &mut pending_inserts, &mut want_full_index)?;
-                        pending_inserts = Some((*column, vec![*value]));
-                    }
-                    None => pending_inserts = Some((*column, vec![*value])),
-                }
+            if let WalRecord::Update(op) = record {
+                run.push(op);
             } else {
-                flush_inserts(&mut db, &mut pending_inserts, &mut want_full_index)?;
+                flush_run(&mut db, &mut run, &mut want_full_index)?;
                 db.replay_wal_record(&record, &mut want_full_index, &mut outcome)
                     .map_err(|e| {
                         HolisticError::Recovery(format!("WAL replay failed at lsn {lsn}: {e}"))
@@ -722,7 +702,7 @@ impl Database {
             max_lsn = max_lsn.max(lsn);
             outcome.wal_records_replayed += 1;
         }
-        flush_inserts(&mut db, &mut pending_inserts, &mut want_full_index)?;
+        flush_run(&mut db, &mut run, &mut want_full_index)?;
 
         // Materialize the full indexes the recovered state calls for.
         for column in want_full_index {
@@ -920,13 +900,9 @@ impl Database {
                 self.drop_table_internal(*id);
                 want_full_index.retain(|c| c.table != *id);
             }
-            WalRecord::Insert { column, value } => {
-                self.apply_insert(*column, *value)?;
-                want_full_index.remove(column);
-            }
-            WalRecord::Delete { column, value } => {
-                self.apply_delete(*column, *value)?;
-                want_full_index.remove(column);
+            WalRecord::Update(op) => {
+                self.apply_ops(&[*op])?;
+                want_full_index.remove(&op.column());
             }
             WalRecord::BuildFullIndex { column } => {
                 want_full_index.insert(*column);
@@ -968,14 +944,14 @@ mod tests {
                 columns: vec![("ts".into(), vec![4, 1, 9]), ("v".into(), vec![-2, 0, 7])],
             },
             WalRecord::DropTable { id: TableId(3) },
-            WalRecord::Insert {
+            WalRecord::Update(UpdateOp::Insert {
                 column: ColumnId::new(TableId(1), 0),
                 value: -42,
-            },
-            WalRecord::Delete {
+            }),
+            WalRecord::Update(UpdateOp::Delete {
                 column: ColumnId::new(TableId(1), 0),
                 value: 17,
-            },
+            }),
             WalRecord::BuildFullIndex {
                 column: ColumnId::new(TableId(2), 1),
             },
@@ -996,10 +972,10 @@ mod tests {
 
     #[test]
     fn truncated_wal_records_error_cleanly() {
-        let bytes = WalRecord::Insert {
+        let bytes = WalRecord::Update(UpdateOp::Insert {
             column: ColumnId::new(TableId(0), 0),
             value: 5,
-        }
+        })
         .encode(9);
         for cut in 0..bytes.len() {
             assert!(WalRecord::decode(&bytes[..cut]).is_err(), "cut at {cut}");

@@ -1,13 +1,13 @@
 //! Fault-injection recovery properties.
 //!
-//! The kill-point sweep drives a random create/insert/delete/query/snapshot
-//! workload against a persisted engine **once per IO operation the workload
+//! The kill-point sweep drives a random
+//! create/insert/delete/update-batch/query/snapshot workload against a persisted engine **once per IO operation the workload
 //! performs**, arming the deterministic fault injector to crash at that
 //! operation. After every crash the directory is recovered with a fresh
 //! (disarmed) injector and the recovered state must equal the in-memory
 //! reference model — exactly, up to the single operation in flight at the
 //! kill (WAL-before-apply means that operation is either fully absent or
-//! fully present, never torn).
+//! fully present, never torn; of an update batch in flight, a prefix).
 //!
 //! The corruption fuzz flips an arbitrary byte of an arbitrary persistence
 //! file. Recovery must *detect* the damage (checksums), degrade along the
@@ -22,7 +22,7 @@ use proptest::prelude::*;
 
 use holistic_core::{
     flip_byte, Database, FaultInjector, HolisticConfig, HolisticError, IndexingStrategy, Query,
-    RecoveryOutcome,
+    RecoveryOutcome, UpdateOp,
 };
 
 const SLOTS: usize = 3;
@@ -34,6 +34,8 @@ enum Op {
     Create(usize),
     Insert(usize, i64),
     Delete(usize, i64),
+    /// One `update_batch` of `(insert?, value)` elements.
+    Batch(usize, Vec<(bool, i64)>),
     Query(usize, i64, i64),
     Snapshot,
 }
@@ -75,6 +77,16 @@ fn apply_model(model: &mut Model, op: &Op) {
                 }
             }
         }
+        Op::Batch(s, elements) => {
+            for &(insert, v) in elements {
+                let single = if insert {
+                    Op::Insert(*s, v)
+                } else {
+                    Op::Delete(*s, v)
+                };
+                apply_model(model, &single);
+            }
+        }
         Op::Query(..) | Op::Snapshot => {}
     }
 }
@@ -110,6 +122,36 @@ fn apply_engine(db: &mut Database, model: &Model, op: &Op) -> Result<(), Holisti
             let col = col_of(db, *s);
             let found = db.delete(col, *v)?;
             assert_eq!(found, vals.contains(v), "delete disagrees with the model");
+            Ok(())
+        }
+        Op::Batch(s, elements) => {
+            if model[*s].is_none() {
+                return Ok(());
+            }
+            let column = col_of(db, *s);
+            let ops: Vec<UpdateOp> = elements
+                .iter()
+                .map(|&(insert, value)| {
+                    if insert {
+                        UpdateOp::Insert { column, value }
+                    } else {
+                        UpdateOp::Delete { column, value }
+                    }
+                })
+                .collect();
+            let applied = db.update_batch(&ops)?;
+            // Element by element against the model, as `Delete` does.
+            let mut stepped = model.clone();
+            for (&(insert, v), got) in elements.iter().zip(applied) {
+                let held = stepped[*s].as_ref().is_some_and(|vals| vals.contains(&v));
+                assert_eq!(got, insert || held, "update batch disagrees with the model");
+                let single = if insert {
+                    Op::Insert(*s, v)
+                } else {
+                    Op::Delete(*s, v)
+                };
+                apply_model(&mut stepped, &single);
+            }
             Ok(())
         }
         Op::Query(s, lo, hi) => {
@@ -199,7 +241,9 @@ fn run_workload(
             Err(e) => {
                 assert!(e.is_crash(), "only injected crashes may fail ops: {e}");
                 let pending = match op {
-                    Op::Create(..) | Op::Insert(..) | Op::Delete(..) => Some(op.clone()),
+                    Op::Create(..) | Op::Insert(..) | Op::Delete(..) | Op::Batch(..) => {
+                        Some(op.clone())
+                    }
                     Op::Query(..) | Op::Snapshot => None,
                 };
                 return (model, pending);
@@ -222,6 +266,13 @@ prop_compose! {
                 2 | 3 => Op::Insert(slot, v),
                 4 => Op::Delete(slot, v % 200 - 100), // often hits a seed value
                 5 => Op::Query(slot, v, v + w),
+                // Mixed kinds, often hitting seed values and each other.
+                6 => Op::Batch(
+                    slot,
+                    (0..5)
+                        .map(|k| ((w >> k) & 1 == 1, (v + k * 37).rem_euclid(200) - 100))
+                        .collect(),
+                ),
                 _ => Op::Snapshot,
             })
             .collect()
@@ -260,14 +311,21 @@ proptest! {
             );
             // WAL-before-apply: the op in flight is either absent (crash
             // before its record was durable) or fully present (crash after
-            // the record hit the disk but before the in-memory apply).
-            let matches = matches_model(&recovered, &model) || {
-                pending.as_ref().is_some_and(|op| {
+            // the record hit the disk but before the in-memory apply). An
+            // update batch is a sequence of such ops under one fsync: a
+            // torn append leaves a prefix of it.
+            let in_flight: Vec<Op> = match pending.clone() {
+                Some(Op::Batch(s, elements)) => (1..=elements.len())
+                    .map(|k| Op::Batch(s, elements[..k].to_vec()))
+                    .collect(),
+                other => other.into_iter().collect(),
+            };
+            let matches = matches_model(&recovered, &model)
+                || in_flight.iter().any(|op| {
                     let mut with_pending = model.clone();
                     apply_model(&mut with_pending, op);
                     matches_model(&recovered, &with_pending)
-                })
-            };
+                });
             prop_assert!(
                 matches,
                 "kill at op {kill_at}/{total_ops}: recovered state diverged \

@@ -7,7 +7,8 @@
 //! interleaves every operation the engine exposes:
 //!
 //! * count/sum range queries and materializing queries,
-//! * single inserts and deletes and grouped query batches,
+//! * single inserts and deletes, mixed-kind `update_batch` groups and
+//!   grouped query batches,
 //! * idle-time tuner batches (refinement, prefix seeding, scrubbing),
 //! * full snapshot → crash → recover cycles,
 //! * injected corruption followed by quarantine and idle-time rebuild.
@@ -33,7 +34,7 @@ use proptest::prelude::*;
 
 use holistic_core::{
     ColumnHealth, CorruptionInjector, CorruptionKind, Database, FaultInjector, HolisticConfig,
-    IdleBudget, IndexingStrategy, Query,
+    IdleBudget, IndexingStrategy, Query, UpdateOp,
 };
 use holistic_storage::ColumnId;
 
@@ -73,10 +74,22 @@ fn expected(model: &[i64], lo: i64, hi: i64) -> (u64, i128, Vec<i64>) {
 /// One step of the randomized program both engines interpret.
 #[derive(Debug, Clone)]
 enum Op {
-    Range { lo: i64, width: i64 },
-    Materialize { lo: i64, width: i64 },
+    Range {
+        lo: i64,
+        width: i64,
+    },
+    Materialize {
+        lo: i64,
+        width: i64,
+    },
     Insert(i64),
-    Delete { pick: usize },
+    Delete {
+        pick: usize,
+    },
+    /// A mixed-kind `update_batch`: per element `Ok(value)` inserts it and
+    /// `Err(pick)` deletes the model's `pick`-th value (or, for an odd
+    /// pick, a value nothing holds).
+    UpdateBatch(Vec<Result<i64, usize>>),
     Batch(Vec<(i64, i64)>),
     Idle(u64),
     SnapshotRecover,
@@ -103,7 +116,18 @@ prop_compose! {
             .map(|(tag, lo, width, pick)| match tag {
                 0..=5 => Op::Range { lo, width },
                 6 | 7 => Op::Materialize { lo, width },
-                8 | 9 => Op::Insert(lo - 300),
+                8 => Op::Insert(lo - 300),
+                9 => Op::UpdateBatch(
+                    (0..7)
+                        .map(|k| {
+                            if (pick >> k) & 1 == 1 {
+                                Ok(lo - 300 + (width * k as i64) % 5)
+                            } else {
+                                Err(pick / 128 + k * 7919)
+                            }
+                        })
+                        .collect(),
+                ),
                 10 => Op::Delete { pick },
                 11 => Op::Batch(
                     (0..3)
@@ -243,6 +267,59 @@ impl Pair {
                     self.model.swap_remove(pos);
                 }
                 self.check_range(victim, victim + 1, false);
+            }
+            Op::UpdateBatch(ref elements) => {
+                // The model applies the elements one at a time; both
+                // engines take them as one `update_batch`.
+                let mut values = Vec::with_capacity(elements.len());
+                let mut want = Vec::with_capacity(elements.len());
+                for element in elements {
+                    match *element {
+                        Ok(v) => {
+                            self.model.push(v);
+                            values.push((true, v));
+                            want.push(true);
+                        }
+                        Err(pick) => {
+                            let victim = if pick % 2 == 1 || self.model.is_empty() {
+                                ROWS * 3
+                            } else {
+                                self.model[pick % self.model.len()]
+                            };
+                            let pos = self.model.iter().position(|&v| v == victim);
+                            if let Some(pos) = pos {
+                                self.model.swap_remove(pos);
+                            }
+                            values.push((false, victim));
+                            want.push(pos.is_some());
+                        }
+                    }
+                }
+                let mk = |column: ColumnId| -> Vec<UpdateOp> {
+                    values
+                        .iter()
+                        .map(|&(insert, value)| {
+                            if insert {
+                                UpdateOp::Insert { column, value }
+                            } else {
+                                UpdateOp::Delete { column, value }
+                            }
+                        })
+                        .collect()
+                };
+                let a = self
+                    .reference
+                    .update_batch(&mk(self.ref_col))
+                    .expect("ref update batch");
+                let b = self
+                    .sharded
+                    .update_batch(&mk(self.shard_col))
+                    .expect("shard update batch");
+                prop_assert_eq!(&a, &want, "reference update batch vs model");
+                prop_assert_eq!(&b, &want, "sharded update batch vs model");
+                for &(_, v) in &values {
+                    self.check_range(v, v + 1, false);
+                }
             }
             Op::Batch(ref ranges) => {
                 let mk = |col: ColumnId| -> Vec<Query> {

@@ -1381,8 +1381,7 @@ impl ConcurrentCrackerColumn {
     /// of the exclusive latch and one sweep over the piece table for the
     /// whole batch (see [`CrackerColumn::ripple_insert_batch`]); on a
     /// sharded column the batch is split into sub-batches honoring the last
-    /// shard's remaining extent, spilling fresh shards as needed. The
-    /// engine's WAL replay applies runs of insert records through this.
+    /// shard's remaining extent, spilling fresh shards as needed.
     pub fn insert_batch(&self, batch: &[(Value, holistic_storage::RowId)]) {
         if self.extent == UNSHARDED {
             if let Some(shard) = self.shards.read().first().map(Arc::clone) {
@@ -1405,17 +1404,49 @@ impl ConcurrentCrackerColumn {
         }
     }
 
-    /// Ripple-deletes one occurrence of `v` under the exclusive latch of
-    /// the first shard holding one, returning whether a value was removed.
-    /// (Which copy of a duplicated value is removed is unspecified either
-    /// way — the multiset answer is what matters.)
+    /// Ripple-deletes one occurrence of `v` from the first shard holding
+    /// one, returning whether a value was removed (see
+    /// [`ConcurrentCrackerColumn::delete_batch`]).
     pub fn delete(&self, v: Value) -> bool {
+        self.delete_batch(&[v]) == [true]
+    }
+
+    /// Ripple-deletes one occurrence per element of `values`, reporting per
+    /// element whether a copy was found. Shards are visited in order and
+    /// each is probed under its *shared* latch ([`CrackerColumn::holds`]);
+    /// only a shard holding a still-wanted value is upgraded to its
+    /// exclusive latch, where one batched sweep
+    /// ([`CrackerColumn::ripple_delete_batch`]) looks again and removes
+    /// what is still there — so readers of the other shards never queue
+    /// behind a delete. (Which copy of a duplicated value is removed is
+    /// unspecified — the multiset answer is what matters.)
+    pub fn delete_batch(&self, values: &[Value]) -> Vec<bool> {
+        let mut found = vec![false; values.len()];
+        // Indices into `values` no shard has given up a copy for yet.
+        let mut wanted: Vec<usize> = (0..values.len()).collect();
         for sh in self.shard_handles() {
-            if sh.inner.write().ripple_delete(v) {
-                return true;
+            if wanted.is_empty() {
+                break;
             }
+            let holds_any = {
+                let guard = sh.inner.read();
+                wanted.iter().any(|&i| guard.holds(values[i]))
+            };
+            if !holds_any {
+                continue;
+            }
+            let batch: Vec<Value> = wanted.iter().map(|&i| values[i]).collect();
+            let removed = sh.inner.write().ripple_delete_batch(&batch);
+            wanted = wanted
+                .into_iter()
+                .zip(removed)
+                .filter_map(|(i, hit)| {
+                    found[i] = hit;
+                    (!hit).then_some(i)
+                })
+                .collect();
         }
-        false
+        found
     }
 
     /// Runs a closure with shared access to the *first* shard's cracker
@@ -2247,6 +2278,42 @@ mod tests {
         assert_eq!(out.sum, scan_sum(&values, 1000, 150_000));
         assert!(c.validate());
         assert_eq!(c.latch_stats().exclusive_selects, 1);
+    }
+
+    #[test]
+    fn delete_takes_the_exclusive_latch_of_the_holding_shard_only() {
+        // A reader parks on shard 0's shared latch; a delete of a value
+        // living in shard 2 must finish meanwhile — it probes shards 0 and
+        // 1 under their shared latches and upgrades on shard 2 alone.
+        let c = Arc::new(ConcurrentCrackerColumn::from_values_sharded(
+            (0..300).collect(),
+            100,
+        ));
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let reader = Arc::clone(&c);
+            s.spawn(move || {
+                reader.with_shard_read(0, |_| {
+                    parked_tx.send(()).expect("main thread waits");
+                    let _ = release_rx.recv();
+                });
+            });
+            parked_rx.recv().expect("reader parks");
+            let deleter = Arc::clone(&c);
+            s.spawn(move || {
+                let _ = done_tx.send(deleter.delete_batch(&[250, 999, 250]));
+            });
+            let found = done_rx.recv_timeout(std::time::Duration::from_secs(30));
+            drop(release_tx);
+            assert_eq!(
+                found.expect("delete must not queue behind shard 0's reader"),
+                [true, false, false]
+            );
+        });
+        assert_eq!(c.len(), 299);
+        assert!(c.validate());
     }
 
     #[test]

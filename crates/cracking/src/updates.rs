@@ -11,7 +11,7 @@
 
 use std::ops::Range;
 
-use holistic_storage::UpdateBuffer;
+use holistic_storage::{compact_out, UpdateBuffer};
 
 use crate::cracker::CrackerColumn;
 use crate::{RowId, Value};
@@ -219,8 +219,8 @@ impl UpdatableCrackerColumn {
 /// Ripple updates on the cracked representation itself.
 ///
 /// These live on [`CrackerColumn`] (not only on the update-buffer wrapper
-/// above) so the engine's concurrent update path and WAL replay during
-/// recovery can apply them directly under a column's write latch. The
+/// above) so the engine's update path — forward execution and WAL replay
+/// alike — can apply them directly under a shard's write latch. The
 /// coherence rules are documented on the private delegators above.
 impl CrackerColumn {
     /// Ripple insertion of `v`, carrying `rowid` when the column keeps row
@@ -358,14 +358,14 @@ impl CrackerColumn {
     /// **single** sweep over the piece table instead of one full ripple per
     /// value.
     ///
-    /// A per-value ripple touches every piece above the target twice, so
-    /// replaying a WAL tail of K inserts into a well-cracked column costs
-    /// K × O(pieces) — at recovery scale (thousands of records into
-    /// thousands of pieces) that dominated restart time. The batch form
-    /// sorts the values, counts how many land in each piece, then shifts
-    /// each piece once (`copy_within`, order-preserving) by the cumulative
-    /// count below it and appends its new values at its end:
-    /// O(data moved + pieces + K log K) total.
+    /// A per-value ripple touches every piece above the target twice, so K
+    /// inserts into a well-cracked column cost K × O(pieces) — the dominant
+    /// cost of an update batch, and of replaying a WAL tail, once a column
+    /// has thousands of pieces. The batch form sorts the values, resolves the piece each lands in, then moves the
+    /// data behind each gaining piece up once (`copy_within`,
+    /// order-preserving — one move per gaining piece, not per piece) and
+    /// appends the new values at that piece's end; one pass over the piece
+    /// table then shifts the extents: O(data moved + pieces + K log K).
     ///
     /// Cache coherence mirrors the scalar ripple: shifted pieces keep their
     /// value multiset, so cached sums survive and the `sorted` flag is even
@@ -386,25 +386,20 @@ impl CrackerColumn {
         sorted.sort_unstable_by_key(|&(v, _)| v);
         let k = sorted.len();
         let (data, mut rowids, index) = self.parts_mut();
-        let piece_count = index.pieces().len();
-        // Target piece and per-piece gain counts, resolved before any
-        // mutation so bound relaxation cannot skew later lookups.
-        let mut counts = vec![0usize; piece_count];
-        let mut targets = Vec::with_capacity(k);
-        for &(v, _) in &sorted {
+        // Target piece of every value (non-decreasing, the values being
+        // sorted), resolved before any mutation so bound relaxation cannot
+        // skew later lookups.
+        let targets: Vec<usize> = sorted
+            .iter()
             // Total on a non-empty index (checked above).
             // lint:allow(panic-path)
-            let t = index.find_piece_for_value(v).expect("non-empty index");
-            counts[t] += 1;
-            targets.push(t);
-        }
+            .map(|&(v, _)| index.find_piece_for_value(v).expect("non-empty index"))
+            .collect();
         // Relax each target piece's bounds to admit its gained values (the
-        // batch analogue of the scalar ripple's relaxation): values are
-        // sorted, so per piece only the extremes matter.
+        // batch analogue of the scalar ripple's relaxation).
         {
             let pieces = index.pieces_mut();
-            for (i, &t) in targets.iter().enumerate() {
-                let v = sorted[i].0;
+            for (&(v, _), &t) in sorted.iter().zip(&targets) {
                 let p = &mut pieces[t];
                 if p.lo.is_some_and(|lo| v < lo) {
                     p.lo = Some(v);
@@ -415,64 +410,62 @@ impl CrackerColumn {
             }
         }
         // Open K slots at the end. `grow` invalidates the last piece's sum;
-        // save it — the sweep below restores it (patched by any gain).
+        // save it — the fix-up pass below restores it (patched by any gain).
         let saved_last_sum = index.pieces().last().and_then(|p| p.sum);
-        data.resize(data.len() + k, 0);
+        let old_len = data.len();
+        data.resize(old_len + k, 0);
         if let Some(r) = rowids.as_deref_mut() {
-            r.resize(r.len() + k, 0);
+            r.resize(old_len + k, 0);
         }
         index.grow(k);
         let pieces = index.pieces_mut();
-        pieces[piece_count - 1].end -= k; // sweep below re-extends it
-        pieces[piece_count - 1].sum = saved_last_sum;
-        // Sweep from the last piece down to the lowest target. Piece i's
-        // start shifts by the number of batch values landing below it; its
-        // end additionally absorbs its own gain.
-        let lowest = targets[0];
-        let mut values_below: Vec<usize> = Vec::with_capacity(piece_count);
-        let mut acc = 0usize;
-        for &c in &counts {
-            values_below.push(acc);
-            acc += c;
-        }
-        // Batch values are consumed back-to-front: the group gained by
-        // piece i is sorted[values_below[i]..values_below[i] + counts[i]].
-        for i in (lowest..piece_count).rev() {
-            let delta = values_below[i];
-            let gain = counts[i];
-            let (start, end) = {
-                let p = &pieces[i];
-                (p.start, p.end)
-            };
-            if delta > 0 {
-                data.copy_within(start..end, start + delta);
+        let last = pieces.len() - 1;
+        pieces[last].end = old_len;
+        pieces[last].sum = saved_last_sum;
+        // Data, from the top down: the values landing in piece `t` are
+        // `sorted[a..b]`; everything behind that piece moves up by `b` in
+        // one move (however many pieces it spans) and the group fills the
+        // gap this opens at the piece's end.
+        let mut upper = old_len;
+        let mut b = k;
+        while b > 0 {
+            let t = targets[b - 1];
+            let a = targets.partition_point(|&x| x < t);
+            let end = pieces[t].end;
+            data.copy_within(end..upper, end + b);
+            if let Some(r) = rowids.as_deref_mut() {
+                r.copy_within(end..upper, end + b);
+            }
+            for (slot, &(v, rowid)) in (end + a..).zip(&sorted[a..b]) {
+                data[slot] = v;
                 if let Some(r) = rowids.as_deref_mut() {
-                    r.copy_within(start..end, start + delta);
+                    r[slot] = rowid;
                 }
             }
+            upper = end;
+            b = a;
+        }
+        // Piece table, from the lowest target up: a piece's start shifts by
+        // the number of batch values landing below it and its end
+        // additionally absorbs its own gain.
+        let mut below = 0;
+        for (i, p) in pieces.iter_mut().enumerate().skip(targets[0]) {
+            let gain = targets[below..].iter().take_while(|&&t| t == i).count();
             if gain > 0 {
-                let group = &sorted[delta..delta + gain];
-                let mut gained: i128 = 0;
-                for (slot, &(v, rowid)) in (end + delta..).zip(group.iter()) {
-                    data[slot] = v;
-                    if let Some(r) = rowids.as_deref_mut() {
-                        r[slot] = rowid;
-                    }
-                    gained += i128::from(v);
-                }
-                let p = &mut pieces[i];
+                let gained: i128 = sorted[below..below + gain]
+                    .iter()
+                    .map(|&(v, _)| i128::from(v))
+                    .sum();
                 p.sum = p.sum.map(|s| s + gained);
                 p.sorted = false;
-                p.prefix = None;
-            } else if delta > 0 {
-                // Pure shift: the straight move preserves order (and the
-                // multiset, so the cached sum), but prefix entries are
-                // keyed to absolute positions and no longer apply.
-                pieces[i].prefix = None;
             }
-            let p = &mut pieces[i];
-            p.start += delta;
-            p.end += delta + gain;
+            // A moved piece keeps its order and multiset (so `sorted` and
+            // the cached sum), but prefix entries are keyed to absolute
+            // positions and no longer apply; a grown one lost both.
+            p.prefix = None;
+            p.start += below;
+            below += gain;
+            p.end += below;
         }
     }
 
@@ -569,6 +562,106 @@ impl CrackerColumn {
         index.set_len(data.len());
         true
     }
+
+    /// Whether the column holds `v`: a read-only scan of the one piece whose
+    /// bounds admit it. The sharded delete probes with this under the shared
+    /// latch before it takes a shard's exclusive latch.
+    #[must_use]
+    pub fn holds(&self, v: Value) -> bool {
+        self.index().find_piece_for_value(v).is_some_and(|t| {
+            let p = &self.pieces()[t];
+            self.view(p.start..p.end).contains(&v)
+        })
+    }
+
+    /// Batched ripple deletion: removes one occurrence per element of
+    /// `values` (a value listed twice loses two copies) with a **single**
+    /// sweep over the piece table, and reports per element whether a copy
+    /// was found. The mirror of [`CrackerColumn::ripple_insert_batch`]: the
+    /// slots to vacate are located first (one scan of each value's target
+    /// piece), the run of survivors behind each hole moves down once by the
+    /// number of holes below it, and one pass over the piece table shifts
+    /// and shrinks the extents — O(data moved + pieces + K log K) instead of
+    /// K full ripples.
+    ///
+    /// The moves preserve order, so every piece keeps its `sorted` flag;
+    /// untouched multisets keep their cached sums and a piece that lost
+    /// values has its sum patched by the lost total. Prefix arrays are keyed
+    /// to absolute positions, so moved and shrunk pieces drop theirs (a
+    /// sorted piece re-seeds it on its next touch or idle pass).
+    pub fn ripple_delete_batch(&mut self, values: &[Value]) -> Vec<bool> {
+        if values.len() < 2 || self.piece_count() == 0 {
+            return values.iter().map(|&v| self.ripple_delete(v)).collect();
+        }
+        let mut order: Vec<usize> = (0..values.len()).collect();
+        order.sort_unstable_by_key(|&i| values[i]);
+        let (data, rowids, index) = self.parts_mut();
+        let mut found = vec![false; values.len()];
+        // The slots to vacate, as `(position, value)`.
+        let mut holes: Vec<(usize, Value)> = Vec::with_capacity(values.len());
+        // Equal values are adjacent in `order`; the search for the next copy
+        // resumes behind the previous hit so each copy is claimed once.
+        let mut resume: Option<(Value, usize)> = None;
+        for &i in &order {
+            let v = values[i];
+            let Some(t) = index.find_piece_for_value(v) else {
+                continue;
+            };
+            let p = &index.pieces()[t];
+            let from = match resume {
+                Some((last, at)) if last == v => at,
+                _ => p.start,
+            };
+            let hit = data[from..p.end]
+                .iter()
+                .position(|&x| x == v)
+                .map(|off| from + off);
+            resume = Some((v, hit.map_or(p.end, |h| h + 1)));
+            if let Some(h) = hit {
+                found[i] = true;
+                holes.push((h, v));
+            }
+        }
+        holes.sort_unstable();
+        let Some(&(lowest, _)) = holes.first() else {
+            return found;
+        };
+        // Close the holes: one move per hole, whatever the number of pieces
+        // the run of survivors behind it spans.
+        let positions: Vec<usize> = holes.iter().map(|&(h, _)| h).collect();
+        compact_out(data, &positions);
+        if let Some(r) = rowids {
+            compact_out(r, &positions);
+        }
+        // One pass over the piece table from the lowest hole's piece up:
+        // every piece moves down by the holes below it and shrinks by its
+        // own, and a piece left empty leaves the table.
+        let pieces = index.pieces_mut();
+        let first = pieces.partition_point(|p| p.end <= lowest);
+        let (mut at, mut below, mut next_hole) = (0, 0, 0);
+        pieces.retain_mut(|p| {
+            at += 1;
+            if at <= first {
+                return true;
+            }
+            let mut lost: i128 = 0;
+            let holes_before = next_hole;
+            while let Some(&(_, v)) = holes.get(next_hole).filter(|&&(h, _)| h < p.end) {
+                lost += i128::from(v);
+                next_hole += 1;
+            }
+            if next_hole != holes_before {
+                p.sum = p.sum.map(|s| s - lost);
+            }
+            p.start -= below;
+            below += next_hole - holes_before;
+            p.end -= below;
+            p.prefix = None;
+            !p.is_empty()
+        });
+        index.set_len(data.len());
+        found
+    }
 }
 
 #[cfg(test)]
@@ -646,6 +739,72 @@ mod tests {
         assert!(c.validate(), "patched sums must survive validation");
         let after: i128 = c.data().iter().map(|&v| i128::from(v)).sum();
         assert_eq!(after, before + gained);
+    }
+
+    #[test]
+    fn batch_delete_matches_sequential_deletes() {
+        let n = 500i64;
+        // Held values, absent values, a value listed twice (held once) and
+        // enough hits in neighbouring pieces to empty some of them.
+        let mut batch: Vec<Value> = (0..41).map(|i| ((i * 131) % (n + 40)) - 20).collect();
+        batch.extend([7, 7, 250, 251, 252, 253]);
+        let mut one_by_one = cracked_column(n);
+        let expected: Vec<bool> = batch.iter().map(|&v| one_by_one.ripple_delete(v)).collect();
+        let mut batched = cracked_column(n);
+        assert_eq!(batched.ripple_delete_batch(&batch), expected);
+        assert!(expected.contains(&true) && expected.contains(&false));
+        assert!(one_by_one.validate());
+        assert!(batched.validate());
+        let mut a = one_by_one.data().to_vec();
+        let mut b = batched.data().to_vec();
+        a.sort_unstable();
+        b.sort_unstable();
+        assert_eq!(a, b, "both forms must hold the same value multiset");
+        for (lo, hi) in [(-25, 40), (0, n), (n / 4, n / 2), (n - 5, n + 30)] {
+            let expect = a.iter().filter(|&&v| v >= lo && v < hi).count();
+            let got = batched.crack_select(lo, hi);
+            assert_eq!(got.len(), expect, "range [{lo},{hi})");
+            assert!(batched.validate());
+        }
+    }
+
+    #[test]
+    fn batch_delete_on_fresh_and_tiny_columns_falls_back() {
+        let mut c = CrackerColumn::from_values(vec![]);
+        assert_eq!(c.ripple_delete_batch(&[5, 1]), [false, false]);
+        let mut c = cracked_column(100);
+        assert_eq!(c.ripple_delete_batch(&[42]), [true]);
+        assert!(c.validate());
+        assert_eq!(c.data().len(), 99);
+        // Duplicates claim distinct copies; a third request finds none left.
+        let mut c = CrackerColumn::from_values_with_rowids(vec![3, 9, 3, 5]);
+        assert_eq!(
+            c.ripple_delete_batch(&[3, 3, 3, 9]),
+            [true, true, false, true]
+        );
+        assert!(c.validate());
+        assert_eq!(c.data(), &[5]);
+        assert_eq!(c.rowids(), Some(&[3][..]));
+        // Emptying the column leaves a valid empty index.
+        assert_eq!(c.ripple_delete_batch(&[5, 5]), [true, false]);
+        assert!(c.validate());
+        assert!(c.is_empty());
+    }
+
+    #[test]
+    fn batch_delete_preserves_cached_sums_and_sortedness() {
+        let n = 400i64;
+        let mut c = cracked_column(n);
+        c.sort_fully();
+        let _ = c.crack_select(100, 300);
+        let before: i128 = c.data().iter().map(|&v| i128::from(v)).sum();
+        let batch: Vec<Value> = vec![3, 250, 399, 120, -7];
+        c.ripple_delete_batch(&batch);
+        assert!(c.validate(), "patched sums must survive validation");
+        let after: i128 = c.data().iter().map(|&v| i128::from(v)).sum();
+        assert_eq!(after, before - (3 + 250 + 399 + 120));
+        assert_eq!(c.cached_sum_pieces(), c.piece_count(), "sums patched");
+        assert!(c.pieces().iter().all(|p| p.sorted), "moves keep order");
     }
 
     #[test]

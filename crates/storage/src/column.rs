@@ -4,12 +4,40 @@ use crate::selection::SelectionVector;
 use crate::stats::ColumnStats;
 use crate::{Result, RowId, StorageError, Value};
 
+/// Removes the elements at `positions` (strictly ascending) from `values`
+/// in one pass, keeping the survivors in order: the run behind each removed
+/// element moves down by the number removed so far — one move per removed
+/// element, however long the vector. Shared by the base column's delete
+/// path and the cracker's batched ripple (data and row-id arrays alike).
+///
+/// # Panics
+///
+/// Panics if `positions` is not strictly ascending or reaches past the
+/// last element.
+pub fn compact_out<T: Copy>(values: &mut Vec<T>, positions: &[usize]) {
+    let Some(&first) = positions.first() else {
+        return;
+    };
+    assert!(
+        positions.windows(2).all(|w| w[0] < w[1])
+            && positions.last().is_some_and(|&p| p < values.len()),
+        "removed positions must be strictly ascending and in bounds"
+    );
+    let mut write = first;
+    for (i, &pos) in positions.iter().enumerate() {
+        let next = positions.get(i + 1).copied().unwrap_or(values.len());
+        values.copy_within(pos + 1..next, write);
+        write += next - pos - 1;
+    }
+    values.truncate(write);
+}
+
 /// A dense `i64` column.
 ///
-/// Columns are append-only at this layer: deletes and in-place updates are
-/// handled by the [`crate::update::UpdateBuffer`] (and merged lazily by the
-/// cracking layer), mirroring the paper's column-store substrate where base
-/// columns stay untouched and auxiliary copies are reorganized.
+/// The base image the engine keeps WAL-complete: appends go to the end and
+/// deletes compact rows out ([`Column::remove_rows`]). Queries never
+/// reorganize it — that happens on the cracking layer's auxiliary copies,
+/// as in the paper's column-store substrate.
 #[derive(Debug, Clone)]
 pub struct Column {
     name: String,
@@ -96,18 +124,33 @@ impl Column {
     }
 
     /// Removes the first occurrence of `v`, returning whether it was
-    /// found. This is the base-image side of the engine's delete path:
-    /// the cracking layer ripples the value out of its auxiliary copy
-    /// while this keeps the WAL-complete data image in sync. Statistics
-    /// are rebuilt from the surviving values.
+    /// found (see [`Column::remove_rows`]).
     pub fn remove_first(&mut self, v: Value) -> bool {
-        let Some(pos) = self.values.iter().position(|&x| x == v) else {
+        let Some(pos) = crate::scan::find_first(&self.values, v) else {
             return false;
         };
-        self.values.remove(pos);
+        self.remove_rows(&[pos]);
+        true
+    }
+
+    /// Removes the rows at `positions` (strictly ascending) in one
+    /// compaction pass. This is the base-image side of the engine's delete
+    /// path: the cracking layer ripples the values out of its auxiliary
+    /// copy while this keeps the WAL-complete data image in sync.
+    /// Statistics are rebuilt from the surviving values, once per call —
+    /// so a caller with several rows to remove should pass them together.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `positions` is not strictly ascending or reaches past the
+    /// last row.
+    pub fn remove_rows(&mut self, positions: &[usize]) {
+        if positions.is_empty() {
+            return;
+        }
+        compact_out(&mut self.values, positions);
         self.stats = ColumnStats::from_values(&self.values);
         self.stats_fresh = true;
-        true
     }
 
     /// The column statistics (histogram may be stale after appends; call
@@ -234,6 +277,68 @@ mod tests {
         assert!(c.stats_fresh());
         assert!(!c.remove_first(42));
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn stats_follow_random_appends_and_deletes() {
+        let mut rng = 0x5eed_u64;
+        let mut next = move || {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            rng >> 33
+        };
+        let mut c = Column::from_values("a", (0..300).map(|i| (i * 37) % 101 - 50).collect());
+        let mut survivors = c.values().to_vec();
+        for step in 0..400 {
+            if next().is_multiple_of(3) {
+                let v = (next() % 140) as Value - 70;
+                c.append(v);
+                survivors.push(v);
+            } else if !survivors.is_empty() {
+                // Mostly held values (the extremes included), sometimes absent.
+                let v = if next().is_multiple_of(5) {
+                    500
+                } else {
+                    survivors[next() as usize % survivors.len()]
+                };
+                let pos = survivors.iter().position(|&x| x == v);
+                assert_eq!(c.remove_first(v), pos.is_some(), "step {step}");
+                if let Some(pos) = pos {
+                    survivors.remove(pos);
+                    // A delete leaves the statistics as a rebuild would.
+                    assert_eq!(c.stats(), &ColumnStats::from_values(&survivors));
+                    assert!(c.stats_fresh());
+                }
+            }
+            assert_eq!(c.values(), survivors.as_slice(), "step {step}");
+            let want = ColumnStats::from_values(&survivors);
+            let got = c.stats();
+            assert_eq!(
+                (got.count, got.sum, got.min, got.max),
+                (want.count, want.sum, want.min, want.max),
+                "step {step}"
+            );
+        }
+    }
+
+    #[test]
+    fn remove_rows_compacts_in_one_pass_and_empties_cleanly() {
+        let mut c = Column::from_values("a", vec![4, 8, 1, 9, 1, 3]);
+        c.remove_rows(&[]);
+        c.remove_rows(&[0, 2, 3]);
+        assert_eq!(c.values(), &[8, 1, 3]);
+        assert_eq!(c.stats(), &ColumnStats::from_values(&[8, 1, 3]));
+        c.remove_rows(&[0, 1, 2]);
+        assert!(c.is_empty());
+        assert_eq!(c.stats(), &ColumnStats::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn remove_rows_rejects_unordered_positions() {
+        let mut c = Column::from_values("a", vec![1, 2, 3]);
+        c.remove_rows(&[1, 1]);
     }
 
     #[test]

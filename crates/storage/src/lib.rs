@@ -47,7 +47,7 @@ pub mod table;
 pub mod update;
 
 pub use catalog::{Catalog, ColumnId, TableId};
-pub use column::Column;
+pub use column::{compact_out, Column};
 pub use error::StorageError;
 pub use histogram::EquiWidthHistogram;
 pub use prefix::PrefixSums;

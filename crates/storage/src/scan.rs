@@ -122,6 +122,32 @@ pub fn prefix_sums(values: &[Value]) -> Vec<i128> {
     out
 }
 
+/// Position of the first value equal to `v`.
+///
+/// The delete path's row lookup. Each chunk is tested branch-free (so the
+/// compare vectorizes) and only a chunk that holds a match is searched for
+/// its position, which is what `Iterator::position`'s per-element early
+/// exit would cost on every element.
+#[must_use]
+pub fn find_first(values: &[Value], v: Value) -> Option<usize> {
+    let mut chunks = values.chunks_exact(CHUNK);
+    let mut scanned = 0;
+    for chunk in &mut chunks {
+        let mut hit = false;
+        for &x in chunk {
+            hit |= x == v;
+        }
+        if hit {
+            break;
+        }
+        scanned += CHUNK;
+    }
+    values[scanned..]
+        .iter()
+        .position(|&x| x == v)
+        .map(|off| scanned + off)
+}
+
 /// Returns the row ids whose values fall in `[lo, hi)`.
 #[must_use]
 pub fn scan_positions(values: &[Value], lo: Value, hi: Value) -> SelectionVector {
@@ -227,6 +253,20 @@ mod tests {
         assert_eq!(full.count, count);
         assert_eq!(full.sum, sum);
         assert_eq!(full.rows, pos);
+    }
+
+    #[test]
+    fn find_first_matches_position_at_every_offset() {
+        let values: Vec<Value> = (0..3 * CHUNK as Value + 5).map(|i| i % 150).collect();
+        for v in [0, 1, 63, 64, 100, 149, 150, -1] {
+            assert_eq!(
+                find_first(&values, v),
+                values.iter().position(|&x| x == v),
+                "value {v}"
+            );
+        }
+        assert_eq!(find_first(&[], 3), None);
+        assert_eq!(find_first(&values[10..], 5), Some(145));
     }
 
     #[test]
