@@ -55,7 +55,6 @@ fn service_config(edf_dispatch: bool) -> ServiceConfig {
     let base = ServiceConfig::default();
     ServiceConfig {
         max_batch: 64,
-        batch_deadline: Duration::from_millis(1),
         default_deadline: QUERY_DEADLINE,
         // Four load clients must be able to push the *global* queue past
         // the saturation high watermark, or the degradation ladder never

@@ -58,6 +58,16 @@ pub struct ServiceCounters {
     pub saturation_entries: u64,
     /// High-water mark of the global admission queue depth.
     pub peak_queue_depth: u64,
+    /// Batches the service dispatcher formed and dispatched.
+    pub dispatched_batches: u64,
+    /// Summed service-clock wait between admission and dispatch, over
+    /// every dispatched query, in microseconds.
+    pub queue_wait_us_total: u64,
+    /// Longest single admission-to-dispatch wait, in microseconds.
+    pub queue_wait_us_max: u64,
+    /// Summed service-clock time from batch formation to the batch's last
+    /// response being sent, in microseconds.
+    pub dispatch_us_total: u64,
 }
 
 /// Snapshot of the runtime-integrity counters: how containment,
@@ -110,6 +120,10 @@ pub struct EngineMetrics {
     svc_degraded_answers: AtomicU64,
     svc_saturation_entries: AtomicU64,
     svc_peak_queue_depth: AtomicU64,
+    svc_dispatched_batches: AtomicU64,
+    svc_queue_wait_us_total: AtomicU64,
+    svc_queue_wait_us_max: AtomicU64,
+    svc_dispatch_us_total: AtomicU64,
 }
 
 impl Default for EngineMetrics {
@@ -142,6 +156,10 @@ impl Default for EngineMetrics {
             svc_degraded_answers: AtomicU64::new(0),
             svc_saturation_entries: AtomicU64::new(0),
             svc_peak_queue_depth: AtomicU64::new(0),
+            svc_dispatched_batches: AtomicU64::new(0),
+            svc_queue_wait_us_total: AtomicU64::new(0),
+            svc_queue_wait_us_max: AtomicU64::new(0),
+            svc_dispatch_us_total: AtomicU64::new(0),
         }
     }
 }
@@ -361,6 +379,19 @@ impl EngineMetrics {
             .fetch_max(depth, Ordering::Relaxed);
     }
 
+    /// Records one dispatched service batch: the summed and the longest
+    /// admission-to-dispatch wait of its queries, and the time from batch
+    /// formation to its last response, all in service-clock microseconds.
+    pub fn service_batch_dispatched(&self, wait_us_total: u64, wait_us_max: u64, dispatch_us: u64) {
+        self.svc_dispatched_batches.fetch_add(1, Ordering::Relaxed);
+        self.svc_queue_wait_us_total
+            .fetch_add(wait_us_total, Ordering::Relaxed);
+        self.svc_queue_wait_us_max
+            .fetch_max(wait_us_max, Ordering::Relaxed);
+        self.svc_dispatch_us_total
+            .fetch_add(dispatch_us, Ordering::Relaxed);
+    }
+
     /// Records one column quarantine (containment event).
     pub fn record_quarantine(&self) {
         self.integ_quarantined.fetch_add(1, Ordering::Relaxed);
@@ -424,6 +455,10 @@ impl EngineMetrics {
             degraded_answers: self.svc_degraded_answers.load(Ordering::Relaxed),
             saturation_entries: self.svc_saturation_entries.load(Ordering::Relaxed),
             peak_queue_depth: self.svc_peak_queue_depth.load(Ordering::Relaxed),
+            dispatched_batches: self.svc_dispatched_batches.load(Ordering::Relaxed),
+            queue_wait_us_total: self.svc_queue_wait_us_total.load(Ordering::Relaxed),
+            queue_wait_us_max: self.svc_queue_wait_us_max.load(Ordering::Relaxed),
+            dispatch_us_total: self.svc_dispatch_us_total.load(Ordering::Relaxed),
         }
     }
 
@@ -456,6 +491,10 @@ impl EngineMetrics {
         self.svc_degraded_answers.store(0, Ordering::Relaxed);
         self.svc_saturation_entries.store(0, Ordering::Relaxed);
         self.svc_peak_queue_depth.store(0, Ordering::Relaxed);
+        self.svc_dispatched_batches.store(0, Ordering::Relaxed);
+        self.svc_queue_wait_us_total.store(0, Ordering::Relaxed);
+        self.svc_queue_wait_us_max.store(0, Ordering::Relaxed);
+        self.svc_dispatch_us_total.store(0, Ordering::Relaxed);
     }
 }
 
@@ -608,6 +647,8 @@ mod tests {
         m.service_saturation_entered();
         m.service_queue_depth(9);
         m.service_queue_depth(4); // high-water mark keeps the max
+        m.service_batch_dispatched(700, 400, 50);
+        m.service_batch_dispatched(300, 300, 25); // the max wait keeps the max
         let s = m.service();
         assert_eq!(s.admitted, 3);
         assert_eq!(s.rejected_global, 2);
@@ -617,6 +658,10 @@ mod tests {
         assert_eq!(s.degraded_answers, 5);
         assert_eq!(s.saturation_entries, 1);
         assert_eq!(s.peak_queue_depth, 9);
+        assert_eq!(s.dispatched_batches, 2);
+        assert_eq!(s.queue_wait_us_total, 1000);
+        assert_eq!(s.queue_wait_us_max, 400);
+        assert_eq!(s.dispatch_us_total, 75);
         m.reset();
         assert_eq!(m.service(), ServiceCounters::default());
     }

@@ -3,7 +3,8 @@
 //!
 //! [`ServiceCore`] is the whole service except the wire. Reader threads
 //! (or tests, with a manual [`ServiceClock`]) call [`ServiceCore::admit`];
-//! a dispatcher calls [`ServiceCore::pump`] in a loop. Everything between
+//! a dispatcher calls [`ServiceCore::pump`] whenever something is queued
+//! and parks when nothing is. Everything between
 //! — bounded queues, per-client token buckets, column-bucketed batch
 //! formation, deadline enforcement, cooperative cancellation, saturation
 //! mode — lives here, so the overload machinery is testable without a
@@ -21,9 +22,9 @@
 //!    ├─ global queue ≥ cap ────────────────▶ Err(Overloaded("global"))
 //!    └─ enqueued into q.column's bucket ───▶ Ok(())        [response later]
 //!
-//! pump() — when a bucket ≥ max_batch, or the oldest entry waited ≥
-//!          batch_deadline — drains one bucket (≤ max_batch entries) and
-//!          dispatches it:
+//! pump() — whenever anything is queued — drains one bucket (≤ max_batch
+//!          entries; a bucket ≥ max_batch first, otherwise the bucket
+//!          holding the oldest arrival) and dispatches it:
 //!    cancelled client ─────────────────────▶ respond Err(Cancelled)
 //!    deadline expired ─────────────────────▶ respond Err(DeadlineExceeded)
 //!    saturated & zero-read answer exists ──▶ respond Ok (degraded path)
@@ -33,6 +34,15 @@
 //! Every **admitted** query produces exactly one response on its
 //! session's channel; every rejection is a typed error returned from
 //! `admit` itself. Nothing is ever silently dropped.
+//!
+//! There is no formation timer: a batch is whatever was admitted while
+//! the previous batch ran (group commit), so batch size follows load — 1
+//! for a lone query, up to `max_batch` under backlog — and an idle
+//! service answers at once. The admission that makes the queue non-empty
+//! unparks the dispatcher ([`std::thread::park`]'s token: an unpark that
+//! lands before the park makes the park return at once, so no wake-up is
+//! lost); the dispatcher parks only after a `pump` found the queue empty
+//! under its lock.
 //!
 //! # Latch discipline
 //!
@@ -49,6 +59,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use holistic_core::{GuardedQuery, HolisticError, Query, QueryResult, SharedDatabase};
@@ -59,11 +70,11 @@ use holistic_sync::{LockLevel, OrderedMutex, OrderedRwLock};
 /// (typed errors) rather than queue without limit.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Dispatch a column's bucket as soon as it holds this many queries.
+    /// Most queries one dispatched batch carries. The dispatcher takes a
+    /// batch whenever anything is queued, so a batch is what arrived while
+    /// the previous one ran; a bucket that has reached this size goes
+    /// first.
     pub max_batch: usize,
-    /// … or as soon as the oldest queued query has waited this long
-    /// (group-commit-style batch formation: batch ≥ N or deadline ≤ T).
-    pub batch_deadline: Duration,
     /// Hard bound on the total number of queued queries.
     pub global_queue_cap: usize,
     /// Hard bound on one client's share of the queue.
@@ -93,7 +104,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             max_batch: 64,
-            batch_deadline: Duration::from_millis(2),
             global_queue_cap: 4096,
             per_client_cap: 512,
             default_deadline: Duration::from_millis(100),
@@ -112,7 +122,6 @@ impl ServiceConfig {
     pub fn for_testing() -> Self {
         ServiceConfig {
             max_batch: 4,
-            batch_deadline: Duration::from_millis(5),
             global_queue_cap: 16,
             per_client_cap: 8,
             default_deadline: Duration::from_millis(100),
@@ -247,11 +256,70 @@ struct Pending {
     enqueued_at: Instant,
 }
 
+impl Pending {
+    /// Earliest-deadline-first order; deadline-less queries (key starts
+    /// with `true`) sort after every dated one, ties keep arrival order.
+    fn edf_key(&self) -> (bool, Instant, Instant) {
+        (
+            self.deadline.is_none(),
+            self.deadline.unwrap_or(self.enqueued_at),
+            self.enqueued_at,
+        )
+    }
+}
+
+/// One column's queued queries.
+struct Bucket {
+    entries: VecDeque<Pending>,
+    /// Earliest `enqueued_at` among `entries`, kept here so the dispatcher
+    /// picks a bucket without scanning entries under the queue lock.
+    oldest: Instant,
+    /// `entries` is in arrival order and its EDF keys never decrease (every
+    /// query on the default deadline, say): the front is the oldest entry
+    /// and an EDF sort would move nothing.
+    in_edf_order: bool,
+}
+
+impl Bucket {
+    fn push(&mut self, pending: Pending) {
+        if let Some(last) = self.entries.back() {
+            self.in_edf_order &= last.edf_key() <= pending.edf_key();
+        }
+        self.entries.push_back(pending);
+    }
+
+    /// Removes up to `max` entries — the earliest deadlines when `edf`,
+    /// the earliest arrivals otherwise — and re-derives `oldest` over
+    /// what is left.
+    fn take(&mut self, max: usize, edf: bool) -> Vec<Pending> {
+        if self.entries.len() <= max {
+            return self.entries.drain(..).collect();
+        }
+        // A bucket still in arrival order keeps its oldest entry in front.
+        // One that had to be sorted does not, then or later (the flag stays
+        // down until the bucket empties): scan what the drain left.
+        let reorder = edf && !self.in_edf_order;
+        if reorder {
+            self.entries.make_contiguous().sort_by_key(Pending::edf_key);
+        }
+        let taken = self.entries.drain(..max).collect();
+        let mut left = self.entries.iter().map(|p| p.enqueued_at);
+        let oldest = if reorder { left.min() } else { left.next() };
+        self.oldest = oldest.unwrap_or(self.oldest);
+        taken
+    }
+}
+
 /// The admission queue: per-column buckets (batches execute best when
 /// column-pure) plus the global total the caps and watermarks act on.
 struct QueueState {
-    buckets: BTreeMap<ColumnId, VecDeque<Pending>>,
+    buckets: BTreeMap<ColumnId, Bucket>,
     total: usize,
+    /// The thread that last entered [`ServiceCore::run_dispatcher`] and
+    /// parks there when idle (unparking one that has exited does nothing);
+    /// kept under the queue lock so the admission that makes the queue
+    /// non-empty reads it for free.
+    dispatcher: Option<Thread>,
 }
 
 /// The admission-controlled batching service around a shared engine.
@@ -294,6 +362,7 @@ impl ServiceCore {
                 QueueState {
                     buckets: BTreeMap::new(),
                     total: 0,
+                    dispatcher: None,
                 },
             ),
             saturated: AtomicBool::new(false),
@@ -423,35 +492,48 @@ impl ServiceCore {
             metrics.service_cancelled(1);
             return Err(HolisticError::Cancelled);
         }
-        let mut state = session.state.lock();
-        state.refill(now, &self.config);
-        if state.queued >= self.config.per_client_cap || state.tokens < 1.0 {
-            metrics.service_rejected(1, false);
-            return Err(HolisticError::Overloaded(format!("client {client}")));
+        let wake = {
+            let mut state = session.state.lock();
+            state.refill(now, &self.config);
+            if state.queued >= self.config.per_client_cap || state.tokens < 1.0 {
+                metrics.service_rejected(1, false);
+                return Err(HolisticError::Overloaded(format!("client {client}")));
+            }
+            let mut queue = self.queue.lock();
+            if queue.total >= self.config.global_queue_cap {
+                metrics.service_rejected(1, true);
+                return Err(HolisticError::Overloaded("global".into()));
+            }
+            state.tokens -= 1.0;
+            state.queued += 1;
+            queue.total += 1;
+            let depth = queue.total;
+            queue
+                .buckets
+                .entry(query.column)
+                .or_insert_with(|| Bucket {
+                    entries: VecDeque::new(),
+                    oldest: now,
+                    in_edf_order: true,
+                })
+                .push(Pending {
+                    session: Arc::clone(&session),
+                    request_id,
+                    query,
+                    deadline,
+                    enqueued_at: now,
+                });
+            metrics.service_admitted(1);
+            metrics.service_queue_depth(depth as u64);
+            self.update_saturation(depth, metrics);
+            // Only the admission that makes the queue non-empty wakes the
+            // dispatcher: it parks only after seeing the queue empty under
+            // this lock, so it is awake for every later one.
+            (depth == 1).then(|| queue.dispatcher.clone()).flatten()
+        }; // Session and queue guards dropped before the wake-up.
+        if let Some(dispatcher) = wake {
+            dispatcher.unpark();
         }
-        let mut queue = self.queue.lock();
-        if queue.total >= self.config.global_queue_cap {
-            metrics.service_rejected(1, true);
-            return Err(HolisticError::Overloaded("global".into()));
-        }
-        state.tokens -= 1.0;
-        state.queued += 1;
-        queue.total += 1;
-        let depth = queue.total;
-        queue
-            .buckets
-            .entry(query.column)
-            .or_default()
-            .push_back(Pending {
-                session: Arc::clone(&session),
-                request_id,
-                query,
-                deadline,
-                enqueued_at: now,
-            });
-        metrics.service_admitted(1);
-        metrics.service_queue_depth(depth as u64);
-        self.update_saturation(depth, metrics);
         Ok(())
     }
 
@@ -468,58 +550,11 @@ impl ServiceCore {
         }
     }
 
-    /// Forms and dispatches at most one batch, if one is ready: a column
-    /// bucket reached `max_batch`, or the oldest queued query has waited
-    /// `batch_deadline`. Returns the number of queries dispatched (0 if
-    /// nothing was ready).
+    /// Forms and dispatches one batch if anything is queued: the first
+    /// column bucket that reached `max_batch`, otherwise the bucket holding
+    /// the oldest arrival. Returns the number of queries dispatched (0 if
+    /// the queue was empty).
     pub fn pump(&self) -> usize {
-        self.pump_inner(false)
-    }
-
-    /// Dispatches everything queued, regardless of formation thresholds.
-    /// Used on shutdown so no admitted query is left unanswered.
-    pub fn flush(&self) -> usize {
-        let mut dispatched = 0;
-        loop {
-            let n = self.pump_inner(true);
-            if n == 0 {
-                return dispatched;
-            }
-            dispatched += n;
-        }
-    }
-
-    /// Current total queue depth.
-    pub fn queue_depth(&self) -> usize {
-        let engine = self.engine.read();
-        let depth = self.queue.lock().total;
-        drop(engine);
-        depth
-    }
-
-    /// Whether the service is currently in saturation mode.
-    pub fn is_saturated(&self) -> bool {
-        self.saturated.load(Ordering::Acquire)
-    }
-
-    fn update_saturation(&self, depth: usize, metrics: &holistic_core::EngineMetrics) {
-        if !self.saturated.load(Ordering::Acquire) {
-            if depth >= self.config.saturation_high {
-                self.saturated.store(true, Ordering::Release);
-                metrics.service_saturation_entered();
-                if let Some(pause) = self.tuner_pause.get() {
-                    pause.store(true, Ordering::Release);
-                }
-            }
-        } else if depth <= self.config.saturation_low {
-            self.saturated.store(false, Ordering::Release);
-            if let Some(pause) = self.tuner_pause.get() {
-                pause.store(false, Ordering::Release);
-            }
-        }
-    }
-
-    fn pump_inner(&self, force: bool) -> usize {
         let now = self.clock.now();
         // Engine read guard for the whole dispatch: level 0 precedes every
         // service lock, and execution needs it anyway.
@@ -530,54 +565,20 @@ impl ServiceCore {
         let saturated = self.saturated.load(Ordering::Acquire);
         let batch: Vec<Pending> = {
             let mut queue = self.queue.lock();
-            let full = queue
+            let pick = queue
                 .buckets
                 .iter()
-                .find(|(_, b)| b.len() >= self.config.max_batch)
+                .find(|(_, b)| b.entries.len() >= self.config.max_batch)
+                .or_else(|| queue.buckets.iter().min_by_key(|(_, b)| b.oldest))
                 .map(|(c, _)| *c);
-            let pick = if force {
-                queue
-                    .buckets
-                    .iter()
-                    .find(|(_, b)| !b.is_empty())
-                    .map(|(c, _)| *c)
-            } else {
-                full.or_else(|| {
-                    // The bucket holding the globally oldest entry, once
-                    // that entry has aged past the formation deadline.
-                    // (Scan the whole bucket, not just the front: EDF
-                    // dispatch reorders buckets, so the oldest arrival is
-                    // not necessarily at the head.)
-                    queue
-                        .buckets
-                        .iter()
-                        .filter_map(|(c, b)| b.iter().map(|p| p.enqueued_at).min().map(|t| (*c, t)))
-                        .min_by_key(|&(_, t)| t)
-                        .filter(|&(_, t)| t + self.config.batch_deadline <= now)
-                        .map(|(c, _)| c)
-                })
-            };
             let Some(column) = pick else {
                 return 0;
             };
             let Some(bucket) = queue.buckets.get_mut(&column) else {
                 return 0;
             };
-            if self.config.edf_dispatch {
-                // Earliest deadline first within the bucket; stable sort
-                // keeps arrival order for ties, and deadline-less queries
-                // (key starts with `true`) sort after every dated one.
-                bucket.make_contiguous().sort_by_key(|p| {
-                    (
-                        p.deadline.is_none(),
-                        p.deadline.unwrap_or(p.enqueued_at),
-                        p.enqueued_at,
-                    )
-                });
-            }
-            let take = bucket.len().min(self.config.max_batch);
-            let drained: Vec<Pending> = bucket.drain(..take).collect();
-            if bucket.is_empty() {
+            let drained = bucket.take(self.config.max_batch, self.config.edf_dispatch);
+            if bucket.entries.is_empty() {
                 queue.buckets.remove(&column);
             }
             queue.total -= drained.len();
@@ -598,7 +599,11 @@ impl ServiceCore {
         let mut results: Vec<Option<Result<QueryResult, HolisticError>>> =
             (0..batch.len()).map(|_| None).collect();
         let mut live: Vec<usize> = Vec::new();
+        let (mut wait_us_total, mut wait_us_max) = (0u64, 0u64);
         for (i, pending) in batch.iter().enumerate() {
+            let waited = now.saturating_duration_since(pending.enqueued_at);
+            wait_us_total += waited.as_micros() as u64;
+            wait_us_max = wait_us_max.max(waited.as_micros() as u64);
             if pending.session.cancelled.load(Ordering::Acquire) {
                 results[i] = Some(Err(HolisticError::Cancelled));
             } else if pending.deadline.is_some_and(|d| d <= now) {
@@ -668,7 +673,68 @@ impl ServiceCore {
                 result,
             });
         }
+        let dispatch = self.clock.now().saturating_duration_since(now);
+        metrics.service_batch_dispatched(wait_us_total, wait_us_max, dispatch.as_micros() as u64);
         batch.len()
+    }
+
+    /// Dispatches everything queued: [`pump`](Self::pump) until the queue
+    /// is empty. What a caller without a dispatcher thread uses.
+    pub fn flush(&self) -> usize {
+        let mut dispatched = 0;
+        loop {
+            let n = self.pump();
+            if n == 0 {
+                return dispatched;
+            }
+            dispatched += n;
+        }
+    }
+
+    /// Runs the dispatcher on the calling thread until `stop` is set and
+    /// the queue is empty: `pump` while anything is queued, park while
+    /// nothing is. Whoever sets `stop` must unpark this thread afterwards.
+    pub(crate) fn run_dispatcher(&self, stop: &AtomicBool) {
+        self.queue.lock().dispatcher = Some(std::thread::current());
+        loop {
+            if self.pump() > 0 {
+                continue;
+            }
+            if stop.load(Ordering::Acquire) {
+                break;
+            }
+            std::thread::park();
+        }
+    }
+
+    /// Current total queue depth.
+    pub fn queue_depth(&self) -> usize {
+        let engine = self.engine.read();
+        let depth = self.queue.lock().total;
+        drop(engine);
+        depth
+    }
+
+    /// Whether the service is currently in saturation mode.
+    pub fn is_saturated(&self) -> bool {
+        self.saturated.load(Ordering::Acquire)
+    }
+
+    fn update_saturation(&self, depth: usize, metrics: &holistic_core::EngineMetrics) {
+        if !self.saturated.load(Ordering::Acquire) {
+            if depth >= self.config.saturation_high {
+                self.saturated.store(true, Ordering::Release);
+                metrics.service_saturation_entered();
+                if let Some(pause) = self.tuner_pause.get() {
+                    pause.store(true, Ordering::Release);
+                }
+            }
+        } else if depth <= self.config.saturation_low {
+            self.saturated.store(false, Ordering::Release);
+            if let Some(pause) = self.tuner_pause.get() {
+                pause.store(false, Ordering::Release);
+            }
+        }
     }
 }
 
@@ -687,13 +753,34 @@ mod tests {
     use holistic_core::{Database, HolisticConfig, IndexingStrategy};
 
     fn service(config: ServiceConfig) -> (Arc<ServiceCore>, SharedDatabase, ColumnId) {
+        let (core, engine, columns) = service_over(config, 1);
+        (core, engine, columns[0])
+    }
+
+    fn service_over(
+        config: ServiceConfig,
+        columns: usize,
+    ) -> (Arc<ServiceCore>, SharedDatabase, Vec<ColumnId>) {
         let mut db = Database::new(HolisticConfig::for_testing(), IndexingStrategy::Holistic);
         let values: Vec<i64> = (0..2000).map(|i| (i * 7919) % 2000).collect();
-        let table = db.create_table("t", vec![("v", values)]).expect("create");
-        let column = db.column_id(table, "v").expect("column");
+        let names = ["v", "w", "x"];
+        let data = names[..columns]
+            .iter()
+            .map(|name| (*name, values.clone()))
+            .collect();
+        let table = db.create_table("t", data).expect("create");
+        let columns = names[..columns]
+            .iter()
+            .map(|name| db.column_id(table, name).expect("column"))
+            .collect();
         let engine = db.into_shared();
         let core = ServiceCore::with_clock(Arc::clone(&engine), config, ServiceClock::manual());
-        (core, engine, column)
+        (core, engine, columns)
+    }
+
+    /// The request ids answered so far, in response order.
+    fn answered(rx: &Receiver<ServiceResponse>) -> Vec<u64> {
+        rx.try_iter().map(|r| r.request_id).collect()
     }
 
     #[test]
@@ -721,15 +808,153 @@ mod tests {
     }
 
     #[test]
-    fn undersized_batch_waits_for_the_formation_deadline() {
-        let (core, _engine, column) = service(ServiceConfig::for_testing());
+    fn undersized_batch_dispatches_on_the_next_pump() {
+        let (core, engine, column) = service(ServiceConfig::for_testing());
         let rx = core.connect(1);
         core.admit(1, 7, Query::range(column, 0, 100), None)
             .expect("admit");
-        assert_eq!(core.pump(), 0, "batch not full, deadline not reached");
-        core.clock().advance(Duration::from_millis(6));
-        assert_eq!(core.pump(), 1, "formation deadline fired");
-        assert_eq!(rx.recv().expect("response").request_id, 7);
+        assert_eq!(core.pump(), 1, "no timer stands between admit and dispatch");
+        assert_eq!(answered(&rx), vec![7]);
+        assert_eq!(core.pump(), 0, "nothing queued, nothing dispatched");
+        assert_eq!(engine.read().metrics().service().dispatched_batches, 1);
+    }
+
+    #[test]
+    fn admissions_between_two_pumps_leave_as_one_batch() {
+        let (core, engine, column) = service(ServiceConfig::for_testing());
+        let rx = core.connect(1);
+        let q = Query::range(column, 0, 100);
+        core.admit(1, 0, q, None).expect("admit");
+        assert_eq!(core.pump(), 1);
+        for i in 1..4 {
+            core.admit(1, i, q, None).expect("admit");
+        }
+        assert_eq!(core.pump(), 3, "what arrived since the last batch");
+        assert_eq!(answered(&rx), vec![0, 1, 2, 3]);
+        assert_eq!(engine.read().metrics().service().dispatched_batches, 2);
+    }
+
+    #[test]
+    fn a_full_bucket_wins_over_an_older_undersized_one() {
+        let (core, _engine, columns) = service_over(ServiceConfig::for_testing(), 2);
+        let rx = core.connect(1);
+        // The later column holds the older, undersized bucket.
+        core.admit(1, 100, Query::range(columns[1], 0, 10), None)
+            .expect("admit");
+        core.clock().advance(Duration::from_millis(1));
+        for i in 0..4 {
+            core.admit(1, i, Query::range(columns[0], 0, 10), None)
+                .expect("admit");
+        }
+        assert_eq!(core.pump(), 4, "the bucket at max_batch goes first");
+        assert_eq!(answered(&rx), vec![0, 1, 2, 3]);
+        assert_eq!(core.pump(), 1);
+        assert_eq!(answered(&rx), vec![100]);
+    }
+
+    #[test]
+    fn undersized_buckets_dispatch_oldest_arrival_first() {
+        let (core, _engine, columns) = service_over(ServiceConfig::for_testing(), 3);
+        let rx = core.connect(1);
+        // Arrival order is the reverse of column order.
+        for (id, column) in [(0, columns[2]), (1, columns[0]), (2, columns[1])] {
+            core.admit(1, id, Query::range(column, 0, 10), None)
+                .expect("admit");
+            core.clock().advance(Duration::from_millis(1));
+        }
+        // A later arrival into the oldest bucket rides along with it.
+        core.admit(1, 3, Query::range(columns[2], 0, 10), None)
+            .expect("admit");
+        assert_eq!(core.pump(), 2);
+        assert_eq!(answered(&rx), vec![0, 3]);
+        assert_eq!(core.pump(), 1);
+        assert_eq!(answered(&rx), vec![1]);
+        assert_eq!(core.pump(), 1);
+        assert_eq!(answered(&rx), vec![2]);
+    }
+
+    /// At `global_queue_cap` depth over three columns with mixed deadlines,
+    /// every pump takes what a scan of every queued entry would pick: a
+    /// full bucket in column order, else the bucket with the oldest
+    /// arrival; and of that bucket the earliest deadlines.
+    #[test]
+    fn pick_at_queue_cap_matches_a_full_scan_of_the_queue() {
+        let mut config = ServiceConfig::for_testing();
+        config.max_batch = 4;
+        // Not a multiple of max_batch: undersized leftovers meet at the end.
+        config.global_queue_cap = 46;
+        config.per_client_cap = 46;
+        config.token_burst = 46.0;
+        let cap = config.global_queue_cap as u64;
+        let (core, _engine, columns) = service_over(config, 3);
+        let rx = core.connect(1);
+        // (request id, column index, deadline ms) of what is still queued,
+        // as the reference sees it. Request `id` arrives at `id` ms.
+        let mut queued: Vec<(u64, usize, u64)> = Vec::new();
+        for id in 0..cap {
+            // Column 0 gets default-like uniform deadlines; the others
+            // expire in reverse arrival order, so an EDF-sorted remainder
+            // keeps its oldest arrival at the back. Column 1 holds the
+            // oldest of those (id 1) behind much newer ones.
+            let which = match id {
+                _ if id % 2 == 0 => 0,
+                1 | 29.. => 1,
+                _ => 2,
+            };
+            let deadline_ms = if which == 0 { 500 } else { 600 - id * 5 };
+            core.admit(
+                1,
+                id,
+                Query::range(columns[which], 0, 10),
+                Some(Duration::from_millis(deadline_ms)),
+            )
+            .expect("admit");
+            queued.push((id, which, id + deadline_ms));
+            core.clock().advance(Duration::from_millis(1));
+        }
+        assert_eq!(core.queue_depth() as u64, cap);
+        while !queued.is_empty() {
+            let in_column = |c: usize| queued.iter().filter(move |e| e.1 == c);
+            let pick = (0..3)
+                .find(|&c| in_column(c).count() >= 4)
+                .or_else(|| queued.iter().min_by_key(|e| e.0).map(|e| e.1))
+                .expect("something is queued");
+            let mut bucket: Vec<_> = in_column(pick).copied().collect();
+            if bucket.len() > 4 {
+                bucket.sort_by_key(|e| (e.2, e.0));
+                bucket.truncate(4);
+            }
+            let mut expected: Vec<u64> = bucket.iter().map(|e| e.0).collect();
+            expected.sort_unstable();
+            assert_eq!(core.pump(), expected.len());
+            let mut got = answered(&rx);
+            got.sort_unstable();
+            assert_eq!(got, expected);
+            queued.retain(|e| !expected.contains(&e.0));
+        }
+        assert_eq!(core.pump(), 0);
+        assert!(holistic_sync::held_locks().is_empty());
+    }
+
+    #[test]
+    fn queue_wait_is_counted_per_dispatched_batch() {
+        let (core, engine, column) = service(ServiceConfig::for_testing());
+        let _rx = core.connect(1);
+        let q = Query::range(column, 0, 100);
+        core.admit(1, 0, q, None).expect("admit");
+        core.clock().advance(Duration::from_millis(2));
+        core.admit(1, 1, q, None).expect("admit");
+        core.clock().advance(Duration::from_millis(1));
+        assert_eq!(core.pump(), 2);
+        core.admit(1, 2, q, None).expect("admit");
+        assert_eq!(core.pump(), 1);
+        let svc = engine.read().metrics().service();
+        assert_eq!(svc.dispatched_batches, 2);
+        assert_eq!(svc.queue_wait_us_max, 3000);
+        assert_eq!(svc.queue_wait_us_total, 3000 + 1000);
+        assert_eq!(svc.dispatch_us_total, 0, "the manual clock stood still");
+        engine.read().metrics().reset();
+        assert_eq!(engine.read().metrics().service().queue_wait_us_max, 0);
     }
 
     #[test]
@@ -753,9 +978,7 @@ mod tests {
             .map(|_| rx.recv().expect("response").request_id)
             .collect();
         assert_eq!(first, vec![1, 2], "earliest deadlines dispatch first");
-        // The relaxed query is not starved: the formation deadline still
-        // fires on its (oldest remaining) arrival time.
-        core.clock().advance(Duration::from_millis(6));
+        // The relaxed query is not starved: it leaves on the next pump.
         assert_eq!(core.pump(), 1);
         assert_eq!(rx.recv().expect("response").request_id, 0);
         assert!(holistic_sync::held_locks().is_empty());
@@ -866,7 +1089,6 @@ mod tests {
         core.admit(2, 1, Query::range(column, 5, 25), None)
             .expect("admit");
         core.disconnect(1);
-        core.clock().advance(Duration::from_millis(6));
         assert_eq!(core.pump(), 2);
         let r1 = rx1.recv().expect("cancelled response still delivered");
         assert_eq!(r1.result, Err(HolisticError::Cancelled));

@@ -8,9 +8,12 @@
 //!
 //! The engine's biggest measured lever is batching (warm 7.9× at batch
 //! 256), but batches have to come from somewhere: [`ServiceCore`] forms
-//! them from in-flight queries, dispatching when a column's bucket
-//! reaches `max_batch` or the oldest entry has waited `batch_deadline` —
-//! group-commit for queries. Around that sit the robustness guarantees:
+//! them from in-flight queries. The dispatcher takes one column's bucket
+//! (at most `max_batch` queries) whenever anything is queued and parks
+//! when nothing is, so a batch is what arrived while the previous batch
+//! ran — group-commit for queries, with no timer: an idle service answers
+//! a lone query at once, a loaded one batches by itself. Around that sit
+//! the robustness guarantees:
 //!
 //! * **Bounded queues** — global and per-client; both reject with a typed
 //!   [`HolisticError::Overloaded`] naming the queue, never grow unbounded.
@@ -33,7 +36,9 @@
 //! The wire format is a length-prefixed binary protocol ([`protocol`])
 //! built on the same checksummed codec as the persistence layer. The TCP
 //! shell ([`net`]) is a thin thread-per-connection layer over
-//! [`ServiceCore`], which is fully drivable without sockets — the
+//! [`ServiceCore`] in which every thread blocks on what feeds it (a
+//! blocking `accept`, buffered reads, gathered writes, a parked
+//! dispatcher); the core is fully drivable without sockets — the
 //! property tests run thousands of admission interleavings against a
 //! manual [`ServiceClock`].
 //!

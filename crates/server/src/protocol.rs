@@ -35,17 +35,44 @@ const TAG_HELLO: u8 = 1;
 const TAG_QUERY: u8 = 2;
 const TAG_RESPONSE: u8 = 3;
 
-/// Writes one length-prefixed frame and flushes the stream.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
+fn oversize(kind: io::ErrorKind) -> io::Error {
+    io::Error::new(kind, "frame length exceeds MAX_FRAME")
+}
+
+/// Appends one length-prefixed frame to `wire`.
+pub(crate) fn put_frame(wire: &mut Vec<u8>, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "frame exceeds MAX_FRAME",
-        ));
+        return Err(oversize(io::ErrorKind::InvalidInput));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    wire.reserve(4 + payload.len());
+    wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    wire.extend_from_slice(payload);
+    Ok(())
+}
+
+/// Writes one length-prefixed frame — header and payload in a single
+/// write, so an unbuffered socket sends one segment — and flushes the
+/// stream.
+pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
+    let mut wire = Vec::new();
+    put_frame(&mut wire, payload)?;
+    w.write_all(&wire)?;
     w.flush()
+}
+
+/// The payload of the frame at the start of `wire`, if all of it has
+/// arrived; the frame occupies `4 + payload.len()` bytes. A header
+/// claiming more than [`MAX_FRAME`] is an error before any of the payload
+/// is waited for.
+pub(crate) fn first_frame(wire: &[u8]) -> io::Result<Option<&[u8]>> {
+    let Some((header, rest)) = wire.split_first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*header) as usize;
+    if len > MAX_FRAME {
+        return Err(oversize(io::ErrorKind::InvalidData));
+    }
+    Ok(rest.get(..len))
 }
 
 /// Reads one frame. `Ok(None)` is a clean end-of-stream (the peer closed
@@ -67,10 +94,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     r.read_exact(&mut len[1..])?;
     let n = u32::from_le_bytes(len) as usize;
     if n > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame length exceeds MAX_FRAME",
-        ));
+        return Err(oversize(io::ErrorKind::InvalidData));
     }
     let mut payload = vec![0u8; n];
     r.read_exact(&mut payload)?;
@@ -398,5 +422,43 @@ mod tests {
         let huge = (MAX_FRAME as u32 + 1).to_le_bytes();
         let mut r = &huge[..];
         assert!(read_frame(&mut r).is_err());
+        assert!(first_frame(&huge).is_err());
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_parses_back_from_a_buffer() {
+        struct CountingWriter(Vec<Vec<u8>>);
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountingWriter(Vec::new());
+        write_frame(&mut w, b"abc").expect("write");
+        assert_eq!(
+            w.0,
+            vec![b"\x03\0\0\0abc".to_vec()],
+            "header and payload together"
+        );
+
+        // Two frames and half of a third in one buffer: the complete ones
+        // come out in order, the partial one waits for more bytes.
+        let mut wire = Vec::new();
+        for payload in [&b"abc"[..], b"", b"hello world"] {
+            put_frame(&mut wire, payload).expect("frame");
+        }
+        wire.truncate(wire.len() - 6);
+        let mut at = 0;
+        let mut seen = Vec::new();
+        while let Some(payload) = first_frame(&wire[at..]).expect("well-formed") {
+            seen.push(payload.to_vec());
+            at += 4 + payload.len();
+        }
+        assert_eq!(seen, vec![b"abc".to_vec(), Vec::new()]);
+        assert_eq!(first_frame(&wire[..2]).expect("short header"), None);
     }
 }

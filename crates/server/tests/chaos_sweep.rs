@@ -55,7 +55,6 @@ fn fixture() -> Fixture {
     config.global_queue_cap = 64;
     config.per_client_cap = 32;
     config.token_burst = 64.0;
-    config.batch_deadline = Duration::from_millis(2);
     let core = ServiceCore::new(engine, config);
     let server = serve(core, "127.0.0.1:0").expect("bind");
     Fixture {
