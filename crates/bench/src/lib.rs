@@ -106,17 +106,26 @@ impl RunOutcome {
 /// * Idle events hand the engine an idle budget — strategies that cannot
 ///   exploit idle time (scan, adaptive) simply skip them, which is exactly
 ///   how the paper treats them.
+///
+/// The cumulative series and the total are built from each answer's
+/// latency (the engine itself only keeps counters).
 pub fn replay_session(
     db: &mut Database,
     columns: &[ColumnId],
     events: &[WorkloadEvent],
     exploit_idle: bool,
 ) -> RunOutcome {
+    let mut cumulative_micros = Vec::new();
+    let mut total_query_time = Duration::ZERO;
+    let mut acc = 0u128;
     for event in events {
         match event {
             WorkloadEvent::Query(RangeQuery { column, lo, hi }) => {
                 let col = columns[*column % columns.len()];
-                db.execute(&Query::range(col, *lo, *hi)).expect("query");
+                let result = db.execute(&Query::range(col, *lo, *hi)).expect("query");
+                total_query_time += result.latency;
+                acc += result.latency.as_micros();
+                cumulative_micros.push(acc);
             }
             WorkloadEvent::Idle(window) => {
                 if exploit_idle {
@@ -132,8 +141,8 @@ pub fn replay_session(
     let metrics = db.metrics();
     RunOutcome {
         strategy: db.strategy().to_string(),
-        cumulative_micros: metrics.cumulative_micros(),
-        total_query_time: metrics.total_query_time(),
+        cumulative_micros,
+        total_query_time,
         tuning_time: metrics.tuning_time(),
         build_time: metrics.build_time(),
         auxiliary_actions: metrics.auxiliary_actions(),

@@ -22,7 +22,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::HolisticError;
-use crate::metrics::QueryRecord;
 
 use super::query::{AccessPath, Query, QueryResult};
 use super::{Database, EngineResult};
@@ -174,13 +173,7 @@ impl Database {
             path: AccessPath::Crack,
             latency: start.elapsed(),
         };
-        self.metrics.record_query(QueryRecord {
-            sequence: self.query_sequence.fetch_add(1, Ordering::Relaxed),
-            column: q.column,
-            path: result.path,
-            latency: result.latency,
-            result_count: result.count,
-        });
+        self.metrics.record_query(result.path, result.latency);
         self.touch_activity();
         Ok(Some(result))
     }

@@ -37,7 +37,7 @@ use holistic_storage::{Catalog, Column, ColumnId, RowId, StorageError, Table, Ta
 use crate::config::HolisticConfig;
 use crate::error::HolisticError;
 use crate::idle::{IdleBudget, IdleReport};
-use crate::metrics::{EngineMetrics, QueryRecord};
+use crate::metrics::EngineMetrics;
 use crate::ranking::RankingModel;
 use crate::stats::KernelStatistics;
 use crate::strategy::IndexingStrategy;
@@ -128,8 +128,9 @@ pub struct Database {
     /// from this counter, so the hot path shares no generator state.
     rng_stream: AtomicU64,
     rng_seed: u64,
-    query_sequence: AtomicU64,
-    pending_penalty: OrderedMutex<Duration>,
+    /// Waiting penalty (nanoseconds) charged to the next executed query
+    /// ([`Database::charge_pending_penalty`]).
+    pending_penalty_nanos: AtomicU64,
     /// Construction instant; [`Database::idle_for`] is measured against it.
     epoch: Instant,
     /// Microseconds since `epoch` of the last query (atomic `Instant`).
@@ -175,12 +176,7 @@ impl Database {
             metrics: EngineMetrics::new(),
             rng_stream: AtomicU64::new(0),
             rng_seed: config.rng_seed,
-            query_sequence: AtomicU64::new(0),
-            pending_penalty: OrderedMutex::new(
-                LockLevel::Penalty,
-                "Database::pending_penalty",
-                Duration::ZERO,
-            ),
+            pending_penalty_nanos: AtomicU64::new(0),
             epoch: Instant::now(),
             last_activity_micros: AtomicU64::new(0),
             persistence: OrderedMutex::new(LockLevel::Persistence, "Database::persistence", None),
@@ -900,8 +896,7 @@ impl Database {
                 return self.execute_degraded(q, column_len, start);
             }
         };
-        let penalty = std::mem::take(&mut *self.pending_penalty.lock());
-        let mut latency = start.elapsed() + penalty;
+        let mut latency = start.elapsed() + self.take_pending_penalty();
 
         // Continuous statistics (all strategies keep them so that switching
         // to holistic mid-flight has knowledge to work with; the overhead is
@@ -924,15 +919,18 @@ impl Database {
             path,
             latency,
         };
-        self.metrics.record_query(QueryRecord {
-            sequence: self.query_sequence.fetch_add(1, Ordering::Relaxed),
-            column: q.column,
-            path,
-            latency,
-            result_count: count,
-        });
+        self.metrics.record_query(path, latency);
         self.touch_activity();
         Ok(result)
+    }
+
+    /// The pending penalty, cleared: one atomic load, and a swap only
+    /// when a penalty is actually waiting.
+    fn take_pending_penalty(&self) -> Duration {
+        if self.pending_penalty_nanos.load(Ordering::Relaxed) == 0 {
+            return Duration::ZERO;
+        }
+        Duration::from_nanos(self.pending_penalty_nanos.swap(0, Ordering::Relaxed))
     }
 
     /// Answers a query on a quarantined (or rebuilding) column through the
@@ -947,8 +945,7 @@ impl Database {
     ) -> EngineResult<QueryResult> {
         let (path, count, sum, values) = self.exec_scan(q)?;
         self.metrics.record_degraded_scan();
-        let penalty = std::mem::take(&mut *self.pending_penalty.lock());
-        let latency = start.elapsed() + penalty;
+        let latency = start.elapsed() + self.take_pending_penalty();
         let selectivity = if column_len == 0 {
             0.0
         } else {
@@ -962,13 +959,7 @@ impl Database {
             path,
             latency,
         };
-        self.metrics.record_query(QueryRecord {
-            sequence: self.query_sequence.fetch_add(1, Ordering::Relaxed),
-            column: q.column,
-            path,
-            latency,
-            result_count: count,
-        });
+        self.metrics.record_query(path, latency);
         self.touch_activity();
         Ok(result)
     }
@@ -1281,7 +1272,7 @@ impl Database {
                 self.instantiate_cracker(column)?;
             }
         }
-        let penalty = std::mem::take(&mut *self.pending_penalty.lock());
+        let penalty = self.take_pending_penalty();
         let mut results: Vec<Option<QueryResult>> = (0..queries.len()).map(|_| None).collect();
 
         for (column, indexes) in &groups {
@@ -1362,7 +1353,12 @@ impl Database {
         }
 
         let mut out = Vec::with_capacity(queries.len());
-        let mut records = Vec::with_capacity(queries.len());
+        // Per access path: executed queries and their summed latency.
+        let mut per_path = [
+            (AccessPath::Scan, 0u64, Duration::ZERO),
+            (AccessPath::FullIndex, 0, Duration::ZERO),
+            (AccessPath::Crack, 0, Duration::ZERO),
+        ];
         for (i, result) in results.into_iter().enumerate() {
             let Some(mut result) = result else {
                 return Err(HolisticError::Validation(format!(
@@ -1374,16 +1370,18 @@ impl Database {
                 // query pays the pending penalty.
                 result.latency += penalty;
             }
-            records.push(QueryRecord {
-                sequence: self.query_sequence.fetch_add(1, Ordering::Relaxed),
-                column: queries[i].column,
-                path: result.path,
-                latency: result.latency,
-                result_count: result.count,
-            });
+            if let Some(slot) = per_path
+                .iter_mut()
+                .find(|(path, _, _)| *path == result.path)
+            {
+                slot.1 += 1;
+                slot.2 += result.latency;
+            }
             out.push(result);
         }
-        self.metrics.record_queries(records);
+        for (path, n, latency) in per_path {
+            self.metrics.record_queries(path, n, latency);
+        }
         self.metrics.record_batch(queries.len() as u64);
         self.touch_activity();
         Ok(out)
@@ -1752,7 +1750,12 @@ impl Database {
     /// query arrives ("queries start arriving before the index is ready and
     /// have to wait for indexing to finish").
     pub fn charge_pending_penalty(&self, penalty: Duration) {
-        *self.pending_penalty.lock() += penalty;
+        let nanos = crate::metrics::nanos(penalty);
+        let _ =
+            self.pending_penalty_nanos
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |p| {
+                    Some(p.saturating_add(nanos))
+                });
     }
 
     /// Fully sorts one column's cracker (instantiating it from the base
@@ -2403,11 +2406,11 @@ mod tests {
             db.execute(&Query::range(col, i, i + 100)).unwrap();
         }
         assert_eq!(db.metrics().query_count(), 5);
-        let cumulative = db.metrics().cumulative_micros();
-        assert_eq!(cumulative.len(), 5);
-        assert!(cumulative.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(db.metrics().path_breakdown(), (0, 0, 5));
+        assert!(db.metrics().total_query_time() > Duration::ZERO);
         db.reset_metrics();
         assert_eq!(db.metrics().query_count(), 0);
+        assert_eq!(db.metrics().total_query_time(), Duration::ZERO);
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub use engine::timeline::{strategy_timeline, TimelinePhase};
 pub use engine::{Database, SharedDatabase, UpdateOp};
 pub use error::HolisticError;
 pub use idle::{IdleBudget, IdleReport};
-pub use metrics::{EngineMetrics, IntegrityCounters, QueryRecord, ServiceCounters};
+pub use metrics::{EngineMetrics, IntegrityCounters, ServiceCounters};
 pub use ranking::RankingModel;
 pub use stats::{ColumnActivity, KernelStatistics};
 pub use strategy::{IndexingStrategy, StrategyFeatures};

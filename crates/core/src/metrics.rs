@@ -1,39 +1,24 @@
-//! Per-query metrics and cumulative timing.
+//! Engine metrics: query counters and cumulative timing.
 //!
 //! The paper's figures plot *cumulative response time* over the query
-//! sequence; the engine therefore records, for every executed query, the
-//! wall-clock latency, the access path taken and the column touched, plus
-//! the time spent on tuning (idle-time refinement, offline builds) so the
-//! benches can attribute every microsecond.
+//! sequence; the engine counts, for every executed query, its access path
+//! and adds its wall-clock latency to a running total, plus the time spent
+//! on tuning (idle-time refinement, offline builds) so the benches can
+//! attribute every microsecond. The per-query series itself is the
+//! caller's: every [`crate::QueryResult`] carries its latency.
 //!
 //! Recording happens on the hot query path from many threads at once, so
-//! all methods take `&self`: durations and counters are atomics, and the
-//! per-query record log sits behind a mutex that is held only for the push.
+//! all methods take `&self` and every field is a fixed-size atomic
+//! counter: recording takes no lock and allocates nothing, however long
+//! the engine runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
-use holistic_sync::{LockLevel, OrderedMutex};
-
 use holistic_cracking::{AggregateCacheDelta, KernelDispatches};
-use holistic_storage::ColumnId;
 
 use crate::engine::query::AccessPath;
-
-/// The record of one executed query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryRecord {
-    /// Position of the query in the execution sequence (0-based).
-    pub sequence: u64,
-    /// The column the query touched.
-    pub column: ColumnId,
-    /// The access path the planner chose.
-    pub path: AccessPath,
-    /// Wall-clock latency of the query.
-    pub latency: Duration,
-    /// Number of qualifying rows.
-    pub result_count: u64,
-}
 
 /// Snapshot of the service-layer overload counters: how admission
 /// control, deadline shedding and saturation degradation treated the
@@ -88,13 +73,16 @@ pub struct IntegrityCounters {
 }
 
 /// Engine-wide metrics. Safe to record into from multiple threads.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EngineMetrics {
-    queries: OrderedMutex<Vec<QueryRecord>>,
+    /// Executed queries per access path, indexed by [`path_slot`].
+    queries: [AtomicU64; 3],
+    /// Summed latency of every executed query, in nanoseconds.
+    query_nanos: AtomicU64,
     /// The recovery outcome of the engine's birth, if it was recovered
-    /// from a persistence directory. Behind its own (Metrics-level) lock;
-    /// never nested with the query log's.
-    recovery: OrderedMutex<Option<crate::engine::persist::RecoveryOutcome>>,
+    /// from a persistence directory. Set once; a birth fact, not a
+    /// recorded metric, so [`EngineMetrics::reset`] keeps it.
+    recovery: OnceLock<crate::engine::persist::RecoveryOutcome>,
     integ_quarantined: AtomicU64,
     integ_rebuilt: AtomicU64,
     integ_degraded_scans: AtomicU64,
@@ -126,42 +114,18 @@ pub struct EngineMetrics {
     svc_dispatch_us_total: AtomicU64,
 }
 
-impl Default for EngineMetrics {
-    fn default() -> Self {
-        EngineMetrics {
-            queries: OrderedMutex::new(LockLevel::Metrics, "EngineMetrics::queries", Vec::new()),
-            recovery: OrderedMutex::new(LockLevel::Metrics, "EngineMetrics::recovery", None),
-            integ_quarantined: AtomicU64::new(0),
-            integ_rebuilt: AtomicU64::new(0),
-            integ_degraded_scans: AtomicU64::new(0),
-            integ_scrubbed_pieces: AtomicU64::new(0),
-            integ_scrub_faults: AtomicU64::new(0),
-            tuning_nanos: AtomicU64::new(0),
-            build_nanos: AtomicU64::new(0),
-            auxiliary_actions: AtomicU64::new(0),
-            dispatches_branchy: AtomicU64::new(0),
-            dispatches_predicated: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_queries: AtomicU64::new(0),
-            aggregate_hits: AtomicU64::new(0),
-            aggregate_prefix: AtomicU64::new(0),
-            aggregate_partials: AtomicU64::new(0),
-            aggregate_misses: AtomicU64::new(0),
-            aggregate_scanned_values: AtomicU64::new(0),
-            svc_admitted: AtomicU64::new(0),
-            svc_rejected_global: AtomicU64::new(0),
-            svc_rejected_client: AtomicU64::new(0),
-            svc_shed_deadline: AtomicU64::new(0),
-            svc_cancelled: AtomicU64::new(0),
-            svc_degraded_answers: AtomicU64::new(0),
-            svc_saturation_entries: AtomicU64::new(0),
-            svc_peak_queue_depth: AtomicU64::new(0),
-            svc_dispatched_batches: AtomicU64::new(0),
-            svc_queue_wait_us_total: AtomicU64::new(0),
-            svc_queue_wait_us_max: AtomicU64::new(0),
-            svc_dispatch_us_total: AtomicU64::new(0),
-        }
+/// The slot of `path` in [`EngineMetrics`]' per-path query counters.
+fn path_slot(path: AccessPath) -> usize {
+    match path {
+        AccessPath::Scan => 0,
+        AccessPath::FullIndex => 1,
+        AccessPath::Crack => 2,
     }
+}
+
+/// Nanoseconds of `d`, saturating at `u64::MAX` (584 years).
+pub(crate) fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 impl EngineMetrics {
@@ -171,15 +135,21 @@ impl EngineMetrics {
         EngineMetrics::default()
     }
 
-    /// Records one executed query.
-    pub fn record_query(&self, record: QueryRecord) {
-        self.queries.lock().push(record);
+    /// Records one executed query: its access path and latency.
+    pub fn record_query(&self, path: AccessPath, latency: Duration) {
+        self.record_queries(path, 1, latency);
     }
 
-    /// Records a whole batch of executed queries under a single lock
-    /// acquisition (the bulk counterpart of [`EngineMetrics::record_query`]).
-    pub fn record_queries(&self, records: Vec<QueryRecord>) {
-        self.queries.lock().extend(records);
+    /// Records `n` executed queries that all took `path`, with their
+    /// summed latency (the bulk counterpart of
+    /// [`EngineMetrics::record_query`]).
+    pub fn record_queries(&self, path: AccessPath, n: u64, latency: Duration) {
+        if n == 0 {
+            return;
+        }
+        self.queries[path_slot(path)].fetch_add(n, Ordering::Relaxed);
+        self.query_nanos
+            .fetch_add(nanos(latency), Ordering::Relaxed);
     }
 
     /// Records that one `execute_batch` call served `queries` queries.
@@ -202,15 +172,13 @@ impl EngineMetrics {
 
     /// Adds time spent on idle-time tuning.
     pub fn add_tuning_time(&self, d: Duration, actions: u64) {
-        self.tuning_nanos
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+        self.tuning_nanos.fetch_add(nanos(d), Ordering::Relaxed);
         self.auxiliary_actions.fetch_add(actions, Ordering::Relaxed);
     }
 
     /// Adds time spent building full (offline/online) indexes.
     pub fn add_build_time(&self, d: Duration) {
-        self.build_nanos
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+        self.build_nanos.fetch_add(nanos(d), Ordering::Relaxed);
     }
 
     /// Accumulates aggregate-cache classifications: how many count/sum
@@ -254,11 +222,16 @@ impl EngineMetrics {
     }
 
     /// Accumulates crack-kernel dispatch counts (branchy vs. predicated).
+    /// Zero deltas — every zero-read answer — write nothing.
     pub fn add_kernel_dispatches(&self, delta: KernelDispatches) {
-        self.dispatches_branchy
-            .fetch_add(delta.branchy, Ordering::Relaxed);
-        self.dispatches_predicated
-            .fetch_add(delta.predicated, Ordering::Relaxed);
+        if delta.branchy > 0 {
+            self.dispatches_branchy
+                .fetch_add(delta.branchy, Ordering::Relaxed);
+        }
+        if delta.predicated > 0 {
+            self.dispatches_predicated
+                .fetch_add(delta.predicated, Ordering::Relaxed);
+        }
     }
 
     /// Crack-kernel dispatches recorded so far, split by physical form —
@@ -271,37 +244,16 @@ impl EngineMetrics {
         }
     }
 
-    /// A copy of all query records, in recording order.
-    #[must_use]
-    pub fn queries(&self) -> Vec<QueryRecord> {
-        self.queries.lock().clone()
-    }
-
     /// Number of executed queries.
     #[must_use]
     pub fn query_count(&self) -> u64 {
-        self.queries.lock().len() as u64
+        self.queries.iter().map(|q| q.load(Ordering::Relaxed)).sum()
     }
 
     /// Total query latency so far.
     #[must_use]
     pub fn total_query_time(&self) -> Duration {
-        self.queries.lock().iter().map(|q| q.latency).sum()
-    }
-
-    /// Cumulative query latency after each query, in microseconds — the
-    /// series the paper's Figures 3 and 4 plot on the y-axis.
-    #[must_use]
-    pub fn cumulative_micros(&self) -> Vec<u128> {
-        let mut acc = 0u128;
-        self.queries
-            .lock()
-            .iter()
-            .map(|q| {
-                acc += q.latency.as_micros();
-                acc
-            })
-            .collect()
+        Duration::from_nanos(self.query_nanos.load(Ordering::Relaxed))
     }
 
     /// Time spent on idle-time tuning.
@@ -325,17 +277,12 @@ impl EngineMetrics {
     /// How many queries used each access path: `(scan, full index, crack)`.
     #[must_use]
     pub fn path_breakdown(&self) -> (u64, u64, u64) {
-        let mut scan = 0;
-        let mut index = 0;
-        let mut crack = 0;
-        for q in self.queries.lock().iter() {
-            match q.path {
-                AccessPath::Scan => scan += 1,
-                AccessPath::FullIndex => index += 1,
-                AccessPath::Crack => crack += 1,
-            }
-        }
-        (scan, index, crack)
+        let [scan, index, crack] = &self.queries;
+        (
+            scan.load(Ordering::Relaxed),
+            index.load(Ordering::Relaxed),
+            crack.load(Ordering::Relaxed),
+        )
     }
 
     /// Records queries accepted into a service admission queue.
@@ -433,14 +380,15 @@ impl EngineMetrics {
     /// `Database::recover` so operators can read *how* the engine came up
     /// — generations skipped, learned state dropped — from the metrics
     /// instead of having to thread the outcome through by hand).
+    /// An engine is born once, so only the first outcome is kept.
     pub fn record_recovery(&self, outcome: crate::engine::persist::RecoveryOutcome) {
-        *self.recovery.lock() = Some(outcome);
+        let _ = self.recovery.set(outcome);
     }
 
     /// The recovery outcome of the engine's birth, if it was recovered.
     #[must_use]
     pub fn recovery(&self) -> Option<crate::engine::persist::RecoveryOutcome> {
-        self.recovery.lock().clone()
+        self.recovery.get().cloned()
     }
 
     /// Snapshot of the service-layer overload counters.
@@ -462,10 +410,13 @@ impl EngineMetrics {
         }
     }
 
-    /// Clears all recorded metrics (e.g. between benchmark phases).
+    /// Clears all recorded metrics (e.g. between benchmark phases). The
+    /// recovery outcome of the engine's birth is kept.
     pub fn reset(&self) {
-        self.queries.lock().clear();
-        *self.recovery.lock() = None;
+        for q in &self.queries {
+            q.store(0, Ordering::Relaxed);
+        }
+        self.query_nanos.store(0, Ordering::Relaxed);
         self.integ_quarantined.store(0, Ordering::Relaxed);
         self.integ_rebuilt.store(0, Ordering::Relaxed);
         self.integ_degraded_scans.store(0, Ordering::Relaxed);
@@ -501,37 +452,126 @@ impl EngineMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use holistic_storage::TableId;
-
-    fn record(seq: u64, micros: u64, path: AccessPath) -> QueryRecord {
-        QueryRecord {
-            sequence: seq,
-            column: ColumnId::new(TableId(0), 0),
-            path,
-            latency: Duration::from_micros(micros),
-            result_count: 10,
-        }
-    }
 
     #[test]
     fn empty_metrics() {
         let m = EngineMetrics::new();
         assert_eq!(m.query_count(), 0);
         assert_eq!(m.total_query_time(), Duration::ZERO);
-        assert!(m.cumulative_micros().is_empty());
         assert_eq!(m.path_breakdown(), (0, 0, 0));
     }
 
     #[test]
-    fn cumulative_series_is_monotone_and_correct() {
+    fn query_counters_split_by_path_and_sum_latency() {
         let m = EngineMetrics::new();
-        m.record_query(record(0, 100, AccessPath::Scan));
-        m.record_query(record(1, 50, AccessPath::Crack));
-        m.record_query(record(2, 25, AccessPath::FullIndex));
-        assert_eq!(m.cumulative_micros(), vec![100, 150, 175]);
+        m.record_query(AccessPath::Scan, Duration::from_micros(100));
+        m.record_query(AccessPath::Crack, Duration::from_micros(50));
+        m.record_query(AccessPath::FullIndex, Duration::from_micros(25));
         assert_eq!(m.total_query_time(), Duration::from_micros(175));
         assert_eq!(m.query_count(), 3);
         assert_eq!(m.path_breakdown(), (1, 1, 1));
+        // Empty bulk records are free.
+        m.record_queries(AccessPath::Scan, 0, Duration::from_secs(1));
+        assert_eq!(m.query_count(), 3);
+        assert_eq!(m.total_query_time(), Duration::from_micros(175));
+    }
+
+    /// A field that stays the same size however much is recorded.
+    trait FixedSize {}
+    impl FixedSize for AtomicU64 {}
+    impl<const N: usize> FixedSize for [AtomicU64; N] {}
+    /// Set once at the engine's birth; recording never grows it.
+    impl<T> FixedSize for OnceLock<T> {}
+    fn fixed_size<T: FixedSize>(_: &T) {}
+
+    #[test]
+    fn a_million_queries_keep_exact_counters_in_fixed_space() {
+        let m = EngineMetrics::new();
+        for i in 0..1_000_000u64 {
+            let path = match i % 4 {
+                0 => AccessPath::Scan,
+                1 => AccessPath::FullIndex,
+                _ => AccessPath::Crack,
+            };
+            m.record_query(path, Duration::from_nanos(i % 1000));
+        }
+        assert_eq!(m.query_count(), 1_000_000);
+        assert_eq!(m.path_breakdown(), (250_000, 250_000, 500_000));
+        // Each block of 1000 queries sums 0 + 1 + ... + 999 ns.
+        assert_eq!(m.total_query_time(), Duration::from_nanos(1000 * 499_500));
+        // Exhaustive destructuring: a new field has to be named here, and
+        // `fixed_size` accepts only counters — a growable log does not
+        // compile.
+        let EngineMetrics {
+            queries,
+            query_nanos,
+            recovery,
+            integ_quarantined,
+            integ_rebuilt,
+            integ_degraded_scans,
+            integ_scrubbed_pieces,
+            integ_scrub_faults,
+            tuning_nanos,
+            build_nanos,
+            auxiliary_actions,
+            dispatches_branchy,
+            dispatches_predicated,
+            batches,
+            batched_queries,
+            aggregate_hits,
+            aggregate_prefix,
+            aggregate_partials,
+            aggregate_misses,
+            aggregate_scanned_values,
+            svc_admitted,
+            svc_rejected_global,
+            svc_rejected_client,
+            svc_shed_deadline,
+            svc_cancelled,
+            svc_degraded_answers,
+            svc_saturation_entries,
+            svc_peak_queue_depth,
+            svc_dispatched_batches,
+            svc_queue_wait_us_total,
+            svc_queue_wait_us_max,
+            svc_dispatch_us_total,
+        } = &m;
+        fixed_size(queries);
+        fixed_size(recovery);
+        for counter in [
+            query_nanos,
+            integ_quarantined,
+            integ_rebuilt,
+            integ_degraded_scans,
+            integ_scrubbed_pieces,
+            integ_scrub_faults,
+            tuning_nanos,
+            build_nanos,
+            auxiliary_actions,
+            dispatches_branchy,
+            dispatches_predicated,
+            batches,
+            batched_queries,
+            aggregate_hits,
+            aggregate_prefix,
+            aggregate_partials,
+            aggregate_misses,
+            aggregate_scanned_values,
+            svc_admitted,
+            svc_rejected_global,
+            svc_rejected_client,
+            svc_shed_deadline,
+            svc_cancelled,
+            svc_degraded_answers,
+            svc_saturation_entries,
+            svc_peak_queue_depth,
+            svc_dispatched_batches,
+            svc_queue_wait_us_total,
+            svc_queue_wait_us_max,
+            svc_dispatch_us_total,
+        ] {
+            fixed_size(counter);
+        }
     }
 
     #[test]
@@ -548,7 +588,7 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let m = EngineMetrics::new();
-        m.record_query(record(0, 1, AccessPath::Scan));
+        m.record_query(AccessPath::Scan, Duration::from_micros(1));
         m.add_tuning_time(Duration::from_micros(5), 1);
         m.add_kernel_dispatches(KernelDispatches {
             branchy: 2,
@@ -564,6 +604,7 @@ mod tests {
         });
         m.reset();
         assert_eq!(m.query_count(), 0);
+        assert_eq!(m.total_query_time(), Duration::ZERO);
         assert_eq!(m.tuning_time(), Duration::ZERO);
         assert_eq!(m.auxiliary_actions(), 0);
         assert_eq!(m.kernel_dispatches(), KernelDispatches::default());
@@ -607,16 +648,14 @@ mod tests {
     #[test]
     fn batch_counters_and_bulk_recording() {
         let m = EngineMetrics::new();
-        m.record_queries(vec![
-            record(0, 10, AccessPath::Crack),
-            record(1, 20, AccessPath::Crack),
-        ]);
+        m.record_queries(AccessPath::Crack, 2, Duration::from_micros(30));
         m.record_batch(2);
         m.record_batch(5);
         assert_eq!(m.query_count(), 2);
+        assert_eq!(m.path_breakdown(), (0, 0, 2));
         assert_eq!(m.batches_executed(), 2);
         assert_eq!(m.batched_queries(), 7);
-        assert_eq!(m.cumulative_micros(), vec![10, 30]);
+        assert_eq!(m.total_query_time(), Duration::from_micros(30));
     }
 
     #[test]
@@ -695,7 +734,7 @@ mod tests {
             let m = std::sync::Arc::clone(&m);
             handles.push(std::thread::spawn(move || {
                 for i in 0..100 {
-                    m.record_query(record(t * 100 + i, 1, AccessPath::Crack));
+                    m.record_query(AccessPath::Crack, Duration::from_nanos(t * 100 + i));
                     m.add_tuning_time(Duration::from_nanos(10), 1);
                 }
             }));
@@ -704,6 +743,7 @@ mod tests {
             h.join().expect("metrics writer panicked");
         }
         assert_eq!(m.query_count(), 400);
+        assert_eq!(m.total_query_time(), Duration::from_nanos((0..400).sum()));
         assert_eq!(m.auxiliary_actions(), 400);
         assert_eq!(m.tuning_time(), Duration::from_nanos(4000));
     }

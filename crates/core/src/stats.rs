@@ -11,21 +11,30 @@
 //! query processing.*
 //!
 //! Because statistics are recorded on the hot query path, every recording
-//! method takes `&self`: plain counters are atomics, and the per-column
-//! predicate histogram sits behind its own small mutex, so queries on
-//! different columns contend only on the short push into the shared
-//! [`WorkloadSummary`] (a process-wide mutex held for a few field updates;
-//! shard it per column if profiles ever show it hot). Readers receive
+//! method takes `&self`: plain counters are per-column atomics, and the
+//! per-column predicate histogram sits behind its own small mutex — the
+//! only lock a query takes here. The observed [`WorkloadSummary`] the
+//! advisor consumes is assembled on read from those per-column counters
+//! and the histogram's predicate bounds. Readers receive
 //! [`ColumnActivity`] snapshots.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use holistic_sync::{LockLevel, OrderedMutex, OrderedRwLock};
 
-use holistic_offline::WorkloadSummary;
+use holistic_offline::{ColumnWorkload, WorkloadSummary};
 use holistic_storage::{ColumnId, Value};
+
+/// Fixed-point scale of the per-column selectivity sum: a selectivity,
+/// clamped to `[0, 1]`, is added as `s * 2^32` truncated, so one atomic
+/// add records it and 2^32 queries fit the counter.
+const SELECTIVITY_ONE: f64 = 4_294_967_296.0;
+
+/// `selectivity` in the fixed point of [`SELECTIVITY_ONE`].
+fn fixed_selectivity(selectivity: f64) -> u64 {
+    (selectivity.clamp(0.0, 1.0) * SELECTIVITY_ONE) as u64
+}
 
 /// Snapshot of one column's activity statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,6 +159,9 @@ impl PredicateHistogram {
 #[derive(Debug)]
 struct ColumnStats {
     queries: AtomicU64,
+    /// Summed clamped selectivity of the column's queries, fixed-point
+    /// with [`SELECTIVITY_ONE`].
+    selectivity_sum: AtomicU64,
     auxiliary_actions: AtomicU64,
     piece_count: AtomicUsize,
     /// `f64` bits of the average piece length.
@@ -162,6 +174,7 @@ impl ColumnStats {
     fn new(buckets: usize) -> Self {
         ColumnStats {
             queries: AtomicU64::new(0),
+            selectivity_sum: AtomicU64::new(0),
             auxiliary_actions: AtomicU64::new(0),
             piece_count: AtomicUsize::new(1),
             avg_piece_len: AtomicU64::new(0.0_f64.to_bits()),
@@ -172,6 +185,31 @@ impl ColumnStats {
                 PredicateHistogram::new(buckets),
             ),
         }
+    }
+
+    /// Records `n` queries whose fixed-point selectivities sum to
+    /// `selectivity_sum`.
+    fn add_queries(&self, n: u64, selectivity_sum: u64) {
+        self.queries.fetch_add(n, Ordering::Relaxed);
+        self.selectivity_sum
+            .fetch_add(selectivity_sum, Ordering::Relaxed);
+    }
+
+    /// The column's entry of the observed workload summary, or `None`
+    /// while it has seen no query.
+    fn workload(&self) -> Option<ColumnWorkload> {
+        let queries = self.queries.load(Ordering::Relaxed);
+        if queries == 0 {
+            return None;
+        }
+        let selectivity_sum = self.selectivity_sum.load(Ordering::Relaxed) as f64 / SELECTIVITY_ONE;
+        let predicate = self.predicate.lock();
+        Some(ColumnWorkload {
+            queries,
+            avg_selectivity: (selectivity_sum / queries as f64).clamp(0.0, 1.0),
+            min_bound: predicate.predicate_min,
+            max_bound: predicate.predicate_max,
+        })
     }
 
     fn snapshot(&self) -> ColumnActivity {
@@ -195,8 +233,7 @@ impl ColumnStats {
 /// query threads and the background tuner.
 #[derive(Debug)]
 pub struct KernelStatistics {
-    columns: OrderedRwLock<BTreeMap<ColumnId, Arc<ColumnStats>>>,
-    summary: OrderedMutex<WorkloadSummary>,
+    columns: OrderedRwLock<BTreeMap<ColumnId, ColumnStats>>,
     total_queries: AtomicU64,
     hot_range_buckets: usize,
 }
@@ -212,38 +249,39 @@ impl KernelStatistics {
                 "KernelStatistics::columns",
                 BTreeMap::new(),
             ),
-            summary: OrderedMutex::new(
-                LockLevel::Summary,
-                "KernelStatistics::summary",
-                WorkloadSummary::new(),
-            ),
             total_queries: AtomicU64::new(0),
             hot_range_buckets: hot_range_buckets.max(1),
         }
     }
 
-    /// The [`ColumnStats`] entry for `id`, created on first use.
-    fn entry(&self, id: ColumnId) -> Arc<ColumnStats> {
-        if let Some(stats) = self.columns.read().get(&id) {
-            return Arc::clone(stats);
+    /// Runs `f` on the [`ColumnStats`] entry for `id` (created on first
+    /// use), borrowed under the map's read guard — no reference-count
+    /// traffic on the entry. `f` may take the entry's histogram lock
+    /// (`StatsMap` → `Histogram` is in hierarchy order).
+    fn with_entry<T>(&self, id: ColumnId, f: impl FnOnce(&ColumnStats) -> T) -> T {
+        {
+            let map = self.columns.read();
+            if let Some(stats) = map.get(&id) {
+                return f(stats);
+            }
         }
         let mut map = self.columns.write();
-        Arc::clone(
-            map.entry(id)
-                .or_insert_with(|| Arc::new(ColumnStats::new(self.hot_range_buckets))),
-        )
+        f(map
+            .entry(id)
+            .or_insert_with(|| ColumnStats::new(self.hot_range_buckets)))
     }
 
     /// Registers a column with its size (idempotent; updates the size).
     pub fn register_column(&self, id: ColumnId, len: usize) {
-        let entry = self.entry(id);
-        entry.column_len.store(len, Ordering::Relaxed);
-        let current = f64::from_bits(entry.avg_piece_len.load(Ordering::Relaxed));
-        if current == 0.0 {
-            entry
-                .avg_piece_len
-                .store((len as f64).to_bits(), Ordering::Relaxed);
-        }
+        self.with_entry(id, |entry| {
+            entry.column_len.store(len, Ordering::Relaxed);
+            let current = f64::from_bits(entry.avg_piece_len.load(Ordering::Relaxed));
+            if current == 0.0 {
+                entry
+                    .avg_piece_len
+                    .store((len as f64).to_bits(), Ordering::Relaxed);
+            }
+        });
     }
 
     /// Forgets a column entirely (dropped table): the ranking model stops
@@ -252,7 +290,6 @@ impl KernelStatistics {
     /// ghost columns and the remaining columns' frequencies stay exact.
     pub fn deregister_column(&self, id: ColumnId) -> bool {
         let removed = self.columns.write().remove(&id);
-        self.summary.lock().remove_column(id);
         match removed {
             Some(stats) => {
                 let ghost_queries = stats.queries.load(Ordering::Relaxed);
@@ -269,58 +306,62 @@ impl KernelStatistics {
 
     /// Records an executed query and its selectivity.
     pub fn record_query(&self, id: ColumnId, lo: Value, hi: Value, selectivity: f64) {
-        let entry = self.entry(id);
-        entry.queries.fetch_add(1, Ordering::Relaxed);
-        entry.predicate.lock().record_predicate(lo, hi);
-        self.summary.lock().record_query(id, selectivity, lo, hi);
+        self.with_entry(id, |entry| {
+            entry.add_queries(1, fixed_selectivity(selectivity));
+            entry.predicate.lock().record_predicate(lo, hi);
+        });
         self.total_queries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a whole batch of executed queries on one column: the bulk
-    /// counterpart of [`KernelStatistics::record_query`]. One entry lookup,
-    /// one histogram-lock and one summary-lock acquisition cover the entire
-    /// batch, so a batched executor does not pay the per-query lock traffic
-    /// `n` separate calls would.
+    /// counterpart of [`KernelStatistics::record_query`]. One entry lookup
+    /// and one histogram-lock acquisition cover the entire batch, so a
+    /// batched executor does not pay the per-query lock traffic `n`
+    /// separate calls would.
     ///
     /// `predicates` holds one `(lo, hi, selectivity)` triple per query.
     pub fn record_queries(&self, id: ColumnId, predicates: &[(Value, Value, f64)]) {
         if predicates.is_empty() {
             return;
         }
-        let entry = self.entry(id);
-        entry
-            .queries
-            .fetch_add(predicates.len() as u64, Ordering::Relaxed);
-        {
+        self.with_entry(id, |entry| {
+            let selectivity_sum = predicates
+                .iter()
+                .map(|&(_, _, s)| fixed_selectivity(s))
+                .sum();
+            entry.add_queries(predicates.len() as u64, selectivity_sum);
             let mut histogram = entry.predicate.lock();
             for &(lo, hi, _) in predicates {
                 histogram.record_predicate(lo, hi);
             }
-        }
-        {
-            let mut summary = self.summary.lock();
-            for &(lo, hi, selectivity) in predicates {
-                summary.record_query(id, selectivity, lo, hi);
-            }
-        }
+        });
         self.total_queries
             .fetch_add(predicates.len() as u64, Ordering::Relaxed);
     }
 
-    /// Records the effect of refinement on a column (new piece statistics).
+    /// Records the effect of refinement on a column (new piece
+    /// statistics). Stores only when the piece shape changed, so a
+    /// zero-read answer — which reports the shape it found — writes no
+    /// shared line.
     pub fn record_refinement(&self, id: ColumnId, piece_count: usize, avg_piece_len: f64) {
-        let entry = self.entry(id);
-        entry.piece_count.store(piece_count, Ordering::Relaxed);
-        entry
-            .avg_piece_len
-            .store(avg_piece_len.to_bits(), Ordering::Relaxed);
+        self.with_entry(id, |entry| {
+            if entry.piece_count.load(Ordering::Relaxed) != piece_count {
+                entry.piece_count.store(piece_count, Ordering::Relaxed);
+            }
+            let bits = avg_piece_len.to_bits();
+            if entry.avg_piece_len.load(Ordering::Relaxed) != bits {
+                entry.avg_piece_len.store(bits, Ordering::Relaxed);
+            }
+        });
     }
 
     /// Records auxiliary refinement actions applied to a column.
     pub fn record_auxiliary_actions(&self, id: ColumnId, actions: u64) {
-        self.entry(id)
-            .auxiliary_actions
-            .fetch_add(actions, Ordering::Relaxed);
+        self.with_entry(id, |entry| {
+            entry
+                .auxiliary_actions
+                .fetch_add(actions, Ordering::Relaxed);
+        });
     }
 
     /// Activity snapshot for a column, if it has been seen.
@@ -378,18 +419,26 @@ impl KernelStatistics {
         })
     }
 
-    /// A copy of the accumulated workload summary (feedable to the offline
-    /// advisor).
+    /// The observed workload summary (feedable to the offline advisor),
+    /// assembled from the per-column counters and predicate bounds.
+    /// Columns that have seen no query are absent.
     #[must_use]
     pub fn summary(&self) -> WorkloadSummary {
-        self.summary.lock().clone()
+        let mut summary = WorkloadSummary::new();
+        for (id, stats) in self.columns.read().iter() {
+            if let Some(workload) = stats.workload() {
+                summary.insert_column(*id, workload);
+            }
+        }
+        summary
     }
 
     /// Whether the value range `[lo, hi)` of column `id` is hot: at least
     /// `threshold` queries have already cracked this region.
     #[must_use]
     pub fn is_hot_range(&self, id: ColumnId, lo: Value, hi: Value, threshold: u64) -> bool {
-        let Some(entry) = self.columns.read().get(&id).map(Arc::clone) else {
+        let map = self.columns.read();
+        let Some(entry) = map.get(&id) else {
             return false;
         };
         let predicate = entry.predicate.lock();
@@ -440,13 +489,36 @@ mod tests {
         }
         assert_eq!(bulk.total_queries(), single.total_queries());
         assert_eq!(bulk.column(col(0)), single.column(col(0)));
-        assert_eq!(
-            bulk.summary().column(col(0)).map(|c| c.queries),
-            single.summary().column(col(0)).map(|c| c.queries)
-        );
+        assert_eq!(bulk.summary(), single.summary());
         // Empty batches are free.
         bulk.record_queries(col(0), &[]);
         assert_eq!(bulk.total_queries(), 3);
+    }
+
+    #[test]
+    fn summary_is_assembled_from_the_column_counters() {
+        let s = KernelStatistics::new(16);
+        s.register_column(col(0), 1000);
+        s.register_column(col(2), 1000);
+        s.record_query(col(0), 100, 200, 0.01);
+        s.record_query(col(0), 50, 150, 0.03);
+        s.record_query(col(1), 0, 1000, 0.5);
+        s.record_query(col(1), 0, 10, 7.5); // clamped to 1
+        let mut expected = WorkloadSummary::new();
+        expected.record_query(col(0), 0.01, 100, 200);
+        expected.record_query(col(0), 0.03, 50, 150);
+        expected.record_query(col(1), 0.5, 0, 1000);
+        expected.record_query(col(1), 7.5, 0, 10);
+        let got = s.summary();
+        assert_eq!(got.total_queries(), expected.total_queries());
+        // Registered but never queried: absent, as in the advisor's view.
+        assert!(got.column(col(2)).is_none());
+        for id in [col(0), col(1)] {
+            let (g, e) = (got.column(id).unwrap(), expected.column(id).unwrap());
+            assert_eq!(g.queries, e.queries);
+            assert_eq!((g.min_bound, g.max_bound), (e.min_bound, e.max_bound));
+            assert!((g.avg_selectivity - e.avg_selectivity).abs() < 1e-9);
+        }
     }
 
     #[test]

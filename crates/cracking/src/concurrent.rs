@@ -2045,9 +2045,9 @@ mod tests {
         // Strip what sort_fully seeded to model a pre-seeding column.
         {
             let (_, _, index) = inner.parts_mut();
-            for p in index.pieces_mut() {
-                p.sum = None;
-                p.prefix = None;
+            for i in 0..index.piece_count() {
+                index.set_sum(i, None);
+                index.pieces_mut()[i].prefix = None;
             }
         }
         let c = ConcurrentCrackerColumn::new(inner);

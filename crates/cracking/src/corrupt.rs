@@ -157,17 +157,24 @@ pub fn corrupt_column(col: &mut CrackerColumn, kind: CorruptionKind) -> bool {
         panic!("injected kernel panic (corruption injector)");
     }
     let (data, _, index) = col.parts_mut();
-    let pieces = index.pieces_mut();
+    if let CorruptionKind::SumFlip = kind {
+        // The flip goes through the index's sum edit, so the run-sum
+        // sidecar carries the flipped sum too: the damage is the piece's
+        // disagreement with its data, exactly what validation checks.
+        let Some((idx, sum)) = index
+            .pieces()
+            .iter()
+            .enumerate()
+            .find_map(|(i, p)| p.sum.map(|s| (i, s)))
+        else {
+            return false;
+        };
+        index.set_sum(idx, Some(sum ^ 0xA5));
+        return true;
+    }
+    // The remaining flips leave every cached sum as it is.
+    let mut pieces = index.pieces_mut();
     match kind {
-        CorruptionKind::SumFlip => {
-            for piece in pieces.iter_mut() {
-                if let Some(sum) = piece.sum {
-                    piece.sum = Some(sum ^ 0xA5);
-                    return true;
-                }
-            }
-            false
-        }
         CorruptionKind::PrefixFlip => {
             for piece in pieces.iter_mut() {
                 if piece.is_empty() {
@@ -209,7 +216,7 @@ pub fn corrupt_column(col: &mut CrackerColumn, kind: CorruptionKind) -> bool {
             }
             false
         }
-        CorruptionKind::Panic => false,
+        CorruptionKind::SumFlip | CorruptionKind::Panic => false,
     }
 }
 

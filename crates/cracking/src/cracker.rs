@@ -247,16 +247,12 @@ impl CrackerColumn {
     /// write latch (build once, read many). The piece's cached sum is
     /// derived from the array if it was unknown.
     fn ensure_piece_prefix(&mut self, idx: usize) -> Arc<PrefixSums> {
-        if let Some(prefix) = self.index.piece(idx).covering_prefix() {
+        let p = &self.index.pieces()[idx];
+        if let Some(prefix) = p.covering_prefix() {
             return Arc::clone(prefix);
         }
-        let p = self.index.piece(idx);
         let prefix = Arc::new(PrefixSums::build(p.start, &self.data[p.start..p.end]));
-        let piece = &mut self.index.pieces_mut()[idx];
-        piece.prefix = Some(Arc::clone(&prefix));
-        if piece.sum.is_none() {
-            piece.sum = Some(prefix.total());
-        }
+        self.index.install_prefix(idx, Arc::clone(&prefix));
         prefix
     }
 
@@ -634,16 +630,22 @@ impl CrackerColumn {
     ///
     /// Crack boundaries always fall on piece boundaries, so a resolved
     /// result range is a run of whole pieces: the count is implicit in the
-    /// range length, and the sum is composed from the pieces' cached sums.
-    /// A piece that is only *partially* overlapped — the boundary pieces of
-    /// a range produced by [`CrackerColumn::select_if_answerable`]'s binary
-    /// searches into sorted pieces — contributes a prefix-sum difference
-    /// when it carries a prefix array: still zero data-array reads. Only
-    /// pieces with neither a usable cached sum nor a covering prefix are
-    /// scanned, through the storage layer's chunked masked-sum kernel — the
-    /// same kernel the pre-cache answer path used for the whole range. A
-    /// fully cached/prefix-composed range therefore costs O(pieces)
-    /// metadata reads and **zero** data-array touches.
+    /// range length, and the sum of the run is one subtraction in the piece
+    /// index's run-sum sidecar ([`PieceIndex::cached_run_sum`]) — the cost
+    /// of an answer does not grow with the number of pieces inside its
+    /// range. A piece that is only *partially* overlapped — the boundary
+    /// pieces of a range produced by
+    /// [`CrackerColumn::select_if_answerable`]'s binary searches into
+    /// sorted pieces — contributes a prefix-sum difference when it carries
+    /// a prefix array: still zero data-array reads. A run that contains a
+    /// piece without a cached sum falls back to piece-by-piece pricing;
+    /// only pieces with neither a usable cached sum nor a covering prefix
+    /// are scanned, through the storage layer's chunked masked-sum kernel —
+    /// the same kernel the pre-cache answer path used for the whole range.
+    /// A fully cached/prefix-composed range therefore costs two piece
+    /// lookups (a binary search for the first piece, a gallop forward from
+    /// it for the last) plus O(1) metadata reads and **zero** data-array
+    /// touches.
     ///
     /// **Contract:** every value in `range` must satisfy `lo <= v < hi` —
     /// true for any range produced by resolving both bounds (the only
@@ -655,7 +657,8 @@ impl CrackerColumn {
     /// arms would disagree. Debug builds assert the contract on every
     /// prefix-composed and scanned piece. The outcome reports how the sum
     /// was produced so callers can maintain cache hit/prefix/partial/miss
-    /// statistics.
+    /// statistics; the counts are per piece, as if the run had been
+    /// walked.
     #[must_use]
     pub fn aggregate_range(&self, range: Range<usize>, lo: Value, hi: Value) -> RangeAggregate {
         let mut agg = RangeAggregate {
@@ -665,47 +668,92 @@ impl CrackerColumn {
         if range.start >= range.end {
             return agg;
         }
-        let Some(mut idx) = self.index.find_piece_for_position(range.start) else {
+        let Some(first) = self.index.find_piece_for_position(range.start) else {
+            return agg;
+        };
+        let Some(last) = self
+            .index
+            .find_piece_for_position_from(first, range.end - 1)
+        else {
             return agg;
         };
         let pieces = self.index.pieces();
-        while idx < pieces.len() && pieces[idx].start < range.end {
-            let p = &pieces[idx];
-            let overlap = p.start.max(range.start)..p.end.min(range.end);
-            match (p.sum, p.covering_prefix()) {
-                // Whole piece covered and cached: pure metadata.
-                (Some(sum), _) if overlap == (p.start..p.end) => {
+        // The run of whole pieces inside the range, between the (possibly
+        // partial) edge pieces.
+        let run_start = if pieces[first].start == range.start {
+            first
+        } else {
+            self.add_piece(&mut agg, first, &range, lo, hi);
+            first + 1
+        };
+        let run_end = if pieces[last].end == range.end {
+            last + 1
+        } else {
+            if last >= run_start {
+                self.add_piece(&mut agg, last, &range, lo, hi);
+            }
+            last
+        };
+        if run_start < run_end {
+            match self.index.cached_run_sum(run_start..run_end) {
+                Some(sum) => {
                     agg.sum += sum;
-                    agg.cached_pieces += 1;
+                    agg.cached_pieces += run_end - run_start;
                 }
-                // Partial overlap of (or missing sum on) a piece with a
-                // prefix-sum array: one subtraction, still no data reads.
-                (_, Some(prefix)) => {
-                    debug_assert!(
-                        self.data[overlap.clone()]
-                            .iter()
-                            .all(|&v| v >= lo && v < hi),
-                        "aggregate_range contract: every value in the range must satisfy [lo, hi)"
-                    );
-                    agg.sum += prefix.sum_range(overlap);
-                    agg.prefix_pieces += 1;
-                }
-                // No cache at all: scan the overlap.
-                _ => {
-                    debug_assert!(
-                        self.data[overlap.clone()]
-                            .iter()
-                            .all(|&v| v >= lo && v < hi),
-                        "aggregate_range contract: every value in the range must satisfy [lo, hi)"
-                    );
-                    agg.sum += holistic_storage::scan_sum(&self.data[overlap.clone()], lo, hi);
-                    agg.scanned_pieces += 1;
-                    agg.scanned_values += (overlap.end - overlap.start) as u64;
+                None => {
+                    for idx in run_start..run_end {
+                        self.add_piece(&mut agg, idx, &range, lo, hi);
+                    }
                 }
             }
-            idx += 1;
         }
         agg
+    }
+
+    /// Adds piece `idx`'s overlap with `range` to `agg`: its cached sum
+    /// when the piece is whole and cached, a prefix difference when it
+    /// carries a covering prefix array, a masked scan otherwise.
+    fn add_piece(
+        &self,
+        agg: &mut RangeAggregate,
+        idx: usize,
+        range: &Range<usize>,
+        lo: Value,
+        hi: Value,
+    ) {
+        let p = &self.index.pieces()[idx];
+        let overlap = p.start.max(range.start)..p.end.min(range.end);
+        match (p.sum, p.covering_prefix()) {
+            // Whole piece covered and cached: pure metadata.
+            (Some(sum), _) if overlap == (p.start..p.end) => {
+                agg.sum += sum;
+                agg.cached_pieces += 1;
+            }
+            // Partial overlap of (or missing sum on) a piece with a
+            // prefix-sum array: one subtraction, still no data reads.
+            (_, Some(prefix)) => {
+                debug_assert!(
+                    self.data[overlap.clone()]
+                        .iter()
+                        .all(|&v| v >= lo && v < hi),
+                    "aggregate_range contract: every value in the range must satisfy [lo, hi)"
+                );
+                agg.sum += prefix.sum_range(overlap);
+                agg.prefix_pieces += 1;
+            }
+            // No cache at all: scan the overlap.
+            _ => {
+                debug_assert!(
+                    self.data[overlap.clone()]
+                        .iter()
+                        .all(|&v| v >= lo && v < hi),
+                    "aggregate_range contract: every value in the range must satisfy [lo, hi)"
+                );
+                agg.sum += holistic_storage::scan_sum(&self.data[overlap.clone()], lo, hi);
+                agg.scanned_pieces += 1;
+                agg.scanned_values += (overlap.end - overlap.start) as u64;
+            }
+        }
     }
 
     /// Number of pieces currently carrying a trusted cached sum (aggregate
@@ -806,10 +854,9 @@ impl CrackerColumn {
             None => self.data.sort_unstable(),
         }
         self.index = PieceIndex::new_sorted(self.data.len());
-        let prefix = PrefixSums::build(0, &self.data);
-        if let Some(p) = self.index.pieces_mut().last_mut() {
-            p.sum = Some(prefix.total());
-            p.prefix = Some(Arc::new(prefix));
+        if !self.data.is_empty() {
+            self.index
+                .install_prefix(0, Arc::new(PrefixSums::build(0, &self.data)));
         }
     }
 
@@ -850,9 +897,10 @@ impl CrackerColumn {
             }
         }
         let end = range.end.min(self.index.piece_count());
-        self.index.pieces()[range.start.min(end)..end]
-            .iter()
-            .all(|p| p.validate(&self.data))
+        self.index.run_sums_match(range.start.min(end)..end)
+            && self.index.pieces()[range.start.min(end)..end]
+                .iter()
+                .all(|p| p.validate(&self.data))
     }
 
     /// Reassembles a cracker column from recovered parts with **sampled**
@@ -1317,9 +1365,9 @@ mod tests {
         let mut c = CrackerColumn::from_values(sample());
         let r = c.crack_select(5, 12);
         let (_, _, index) = c.parts_mut();
-        for p in index.pieces_mut() {
-            p.sum = None;
-            p.prefix = None;
+        for i in 0..index.piece_count() {
+            index.set_sum(i, None);
+            index.pieces_mut()[i].prefix = None;
         }
         let agg = c.aggregate_range(r.clone(), 5, 12);
         assert_eq!(agg.sum, scan_sum_ref(&sample(), 5, 12));

@@ -7,6 +7,14 @@
 //! O(P) splits — irrelevant in practice because P is small compared to the
 //! column (cracking stops paying off once pieces fit in the CPU cache, as
 //! the paper's cost model observes).
+//!
+//! Beside the pieces the index keeps a derived *run-sum sidecar*: running
+//! totals of the pieces' cached sums, so the cached total of any run of
+//! whole pieces is one subtraction instead of a walk over the run.
+
+use std::ops::{Deref, DerefMut, Range};
+
+use holistic_storage::PrefixSums;
 
 use crate::piece::Piece;
 use crate::Value;
@@ -28,12 +36,26 @@ pub type SplitGroup = (usize, Vec<(usize, Value)>, Option<Vec<i128>>);
 /// * value bounds are consistent: `pieces[i].hi == pieces[i+1].lo`
 ///   whenever both are known, the first piece has `lo = None` or a bound
 ///   that under-approximates the minimum, and bounds never contradict the
-///   data.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///   data;
+/// * the run-sum sidecar equals the running totals of the pieces' cached
+///   sums ([`PieceIndex::cached_run_sum`]).
+///
+/// The sidecar is derived state: equality, snapshots and learned-state
+/// persistence see only the pieces.
+#[derive(Debug, Clone)]
 pub struct PieceIndex {
     pieces: Vec<Piece>,
     len: usize,
+    runs: RunSums,
 }
+
+impl PartialEq for PieceIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.pieces == other.pieces
+    }
+}
+
+impl Eq for PieceIndex {}
 
 impl PieceIndex {
     /// Creates an index with a single unbounded piece covering `[0, len)`.
@@ -44,7 +66,14 @@ impl PieceIndex {
         } else {
             vec![Piece::unbounded(0, len)]
         };
-        PieceIndex { pieces, len }
+        Self::with_pieces(len, pieces)
+    }
+
+    /// An index over `pieces` with a freshly built sidecar.
+    fn with_pieces(len: usize, pieces: Vec<Piece>) -> Self {
+        let mut runs = RunSums::default();
+        runs.resync(&pieces, 0);
+        PieceIndex { pieces, len, runs }
     }
 
     /// Creates an index with a single piece covering `[0, len)` that is
@@ -61,7 +90,7 @@ impl PieceIndex {
                 ..Piece::unbounded(0, len)
             }]
         };
-        PieceIndex { pieces, len }
+        Self::with_pieces(len, pieces)
     }
 
     /// Reassembles an index from decoded pieces (the snapshot-recovery
@@ -72,7 +101,7 @@ impl PieceIndex {
     #[must_use]
     pub fn from_parts(len: usize, pieces: Vec<Piece>) -> Option<Self> {
         if len == 0 {
-            return pieces.is_empty().then_some(PieceIndex { pieces, len });
+            return pieces.is_empty().then(|| Self::with_pieces(len, pieces));
         }
         if pieces.first()?.start != 0 || pieces.last()?.end != len {
             return None;
@@ -85,7 +114,7 @@ impl PieceIndex {
         if pieces.iter().any(|p| p.is_empty() || p.start > p.end) {
             return None;
         }
-        Some(PieceIndex { pieces, len })
+        Some(Self::with_pieces(len, pieces))
     }
 
     /// Number of positions covered.
@@ -159,6 +188,26 @@ impl PieceIndex {
         }
         let idx = self.pieces.partition_point(|p| p.end <= pos);
         Some(idx)
+    }
+
+    /// Index of the piece containing position `pos`, searched forward
+    /// from piece `from` (whose start must not lie beyond `pos`) by
+    /// galloping: O(log distance) probes next to `from` instead of a
+    /// search over the whole table — a range's last piece is usually
+    /// close to its first.
+    #[must_use]
+    pub(crate) fn find_piece_for_position_from(&self, from: usize, pos: usize) -> Option<usize> {
+        if pos >= self.len {
+            return None;
+        }
+        let tail = self.pieces.get(from..)?;
+        let mut bound = 1;
+        while bound < tail.len() && tail[bound - 1].end <= pos {
+            bound *= 2;
+        }
+        let lo = bound / 2;
+        let hi = bound.min(tail.len());
+        Some(from + lo + tail[lo..hi].partition_point(|p| p.end <= pos))
     }
 
     /// Records a crack of piece `idx` at absolute position `split_pos` with
@@ -245,13 +294,18 @@ impl PieceIndex {
         let mut replacement: Vec<Piece> = Vec::with_capacity(splits.len() + 1);
         Self::expand_piece(p, splits, seg_sums, &mut replacement);
         let created = replacement.len() - 1;
+        let old_sum = self.pieces[idx].sum;
         if created == 0 {
             // Pure bound tightening: no table surgery needed.
             self.pieces[idx] = replacement.swap_remove(0);
+            if self.pieces[idx].sum == old_sum {
+                return 0;
+            }
         } else {
             self.pieces.reserve(created);
             self.pieces.splice(idx..=idx, replacement);
         }
+        self.runs.splice(&self.pieces, idx, created);
         created
     }
 
@@ -300,6 +354,9 @@ impl PieceIndex {
         );
         let created = rebuilt.len() - self.pieces.len();
         self.pieces = rebuilt;
+        // The sidecar is rebuilt from the first affected piece on, in the
+        // same O(P + k) spirit as the table rebuild.
+        self.runs.resync(&self.pieces, groups[0].0);
         created
     }
 
@@ -442,10 +499,11 @@ impl PieceIndex {
             // and prefix, however, no longer cover the piece's extent —
             // invalidate them (ripple insertion restores/patches them once
             // the appended value has been rippled into its target piece).
-            last.sum = None;
             last.prefix = None;
+            self.set_sum(self.pieces.len() - 1, None);
         } else {
             self.pieces.push(Piece::unbounded(0, new_len));
+            self.runs.resync(&self.pieces, 0);
         }
         self.len = new_len;
     }
@@ -455,6 +513,9 @@ impl PieceIndex {
     /// deletes are merged.
     pub fn shrink(&mut self, removed: usize) {
         let new_len = self.len.saturating_sub(removed);
+        // Only trailing pieces change: the sidecar is re-derived from the
+        // first of them on, O(block + removed pieces).
+        let from = self.pieces.partition_point(|p| p.end <= new_len);
         while let Some(last) = self.pieces.last_mut() {
             if last.start >= new_len {
                 self.pieces.pop();
@@ -475,22 +536,109 @@ impl PieceIndex {
                 break;
             }
         }
+        self.runs.resync(&self.pieces, from);
         self.len = new_len;
     }
 
-    /// (Internal) direct access to the piece table for the ripple
-    /// insert/delete algorithms in the updates module.
-    pub(crate) fn pieces_mut(&mut self) -> &mut Vec<Piece> {
-        &mut self.pieces
+    /// (Internal) mutable access to the pieces' extents, bounds, flags and
+    /// prefix arrays, for the ripple insert/delete algorithms in the
+    /// updates module and the corruption injector. Neither the number of
+    /// pieces nor any piece's cached sum may change through it: those go
+    /// through [`PieceIndex::set_sum`], [`PieceIndex::patch_sums`] and
+    /// [`PieceIndex::remove_empty_pieces`], which keep the run-sum sidecar
+    /// in step (debug builds check it when the guard drops).
+    pub(crate) fn pieces_mut(&mut self) -> PiecesMut<'_> {
+        PiecesMut { index: self }
     }
 
-    /// Removes empty pieces (produced by ripple deletion) while keeping the
-    /// remaining pieces contiguous.
-    pub(crate) fn drop_empty_pieces(&mut self) {
-        self.pieces.retain(|p| !p.is_empty());
-        if self.pieces.is_empty() && self.len > 0 {
-            self.pieces.push(Piece::unbounded(0, self.len));
+    /// Sets piece `idx`'s cached sum — the single-piece sum edit (an
+    /// unknown sum derived from a freshly built prefix array, a ripple's
+    /// restored sum, an injected sum flip). The sidecar is patched in
+    /// place: the rest of the piece's block and the later blocks' bases,
+    /// O(block + P / block).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of bounds.
+    pub(crate) fn set_sum(&mut self, idx: usize, sum: Option<i128>) {
+        if self.pieces[idx].sum != sum {
+            self.pieces[idx].sum = sum;
+            self.runs.splice(&self.pieces, idx, 0);
         }
+    }
+
+    /// Installs a prefix-sum array on piece `idx` and, when the piece's
+    /// sum was unknown, derives it from the array (one subtraction). The
+    /// caller guarantees the array covers the piece and matches its data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of bounds.
+    pub(crate) fn install_prefix(&mut self, idx: usize, prefix: std::sync::Arc<PrefixSums>) {
+        let derived = self.pieces[idx]
+            .sum
+            .or_else(|| Some(prefix.sum_range(self.pieces[idx].start..self.pieces[idx].end)));
+        self.pieces[idx].prefix = Some(prefix);
+        self.set_sum(idx, derived);
+    }
+
+    /// Adds each `(idx, delta)` to piece `idx`'s cached sum, if it has one
+    /// — a ripple's gained or lost totals. `deltas` ascend by piece. The
+    /// sidecar takes the deltas in one pass from the first affected entry
+    /// to the end of the last affected block, plus the later blocks'
+    /// bases; the pieces themselves are not walked.
+    pub(crate) fn patch_sums(&mut self, deltas: &[(usize, i128)]) {
+        debug_assert!(
+            deltas.windows(2).all(|w| w[0].0 < w[1].0),
+            "sum deltas must ascend by piece"
+        );
+        for &(idx, delta) in deltas {
+            if let Some(sum) = &mut self.pieces[idx].sum {
+                *sum += delta;
+            }
+        }
+        let pieces = &self.pieces;
+        self.runs.add(
+            deltas
+                .iter()
+                .copied()
+                .filter(|&(idx, _)| pieces[idx].sum.is_some()),
+        );
+    }
+
+    /// Removes the pieces `empties` (ascending; every empty piece of the
+    /// table, as ripple deletion leaves them) while keeping the remaining
+    /// pieces contiguous. Each removal shifts the sidecar by one entry,
+    /// O(block + P / block); the table closes the gaps in one pass from
+    /// the first removed piece.
+    pub(crate) fn remove_empty_pieces(&mut self, empties: &[usize]) {
+        let Some(&first) = empties.first() else {
+            return;
+        };
+        for &idx in empties.iter().rev() {
+            debug_assert!(self.pieces[idx].is_empty(), "piece {idx} is not empty");
+            self.runs.remove(idx);
+        }
+        let mut kept = first;
+        for idx in first..self.pieces.len() {
+            if !self.pieces[idx].is_empty() {
+                self.pieces.swap(kept, idx);
+                kept += 1;
+            }
+        }
+        self.pieces.truncate(kept);
+    }
+
+    /// Total of the cached sums of the whole pieces `run` (piece indexes),
+    /// or `None` if some piece in the run has no cached sum (or the run
+    /// lies outside the table). Two sidecar lookups and one subtraction,
+    /// whatever the run's length.
+    #[must_use]
+    pub fn cached_run_sum(&self, run: Range<usize>) -> Option<i128> {
+        if run.end > self.pieces.len() || run.start > run.end {
+            return None;
+        }
+        self.runs.run_sum(run)
     }
 
     /// (Internal) overrides the covered length after the updates module has
@@ -499,7 +647,16 @@ impl PieceIndex {
         self.len = len;
         if len == 0 {
             self.pieces.clear();
+            self.runs.resync(&self.pieces, 0);
         }
+    }
+
+    /// Whether the sidecar agrees with the cached sums of the pieces in
+    /// `range` (piece indexes, clamped to the table): the incremental form
+    /// of the sidecar check in [`PieceIndex::validate`], for the scrubber.
+    #[must_use]
+    pub(crate) fn run_sums_match(&self, range: Range<usize>) -> bool {
+        self.runs.matches_range(&self.pieces, range)
     }
 
     /// Checks all structural invariants against the cracked data.
@@ -524,9 +681,386 @@ impl PieceIndex {
                 }
             }
         }
-        self.pieces
-            .iter()
-            .all(|p| !p.is_empty() && p.validate(data))
+        self.runs.matches(&self.pieces)
+            && self
+                .pieces
+                .iter()
+                .all(|p| !p.is_empty() && p.validate(data))
+    }
+}
+
+/// Mutable access to a [`PieceIndex`]'s pieces that leaves their number
+/// and cached sums alone (see [`PieceIndex::pieces_mut`]).
+pub(crate) struct PiecesMut<'a> {
+    index: &'a mut PieceIndex,
+}
+
+impl Deref for PiecesMut<'_> {
+    type Target = [Piece];
+
+    fn deref(&self) -> &[Piece] {
+        &self.index.pieces
+    }
+}
+
+impl DerefMut for PiecesMut<'_> {
+    fn deref_mut(&mut self) -> &mut [Piece] {
+        &mut self.index.pieces
+    }
+}
+
+impl Drop for PiecesMut<'_> {
+    fn drop(&mut self) {
+        debug_assert!(
+            self.index.runs.matches(&self.index.pieces),
+            "a cached sum changed behind the run-sum sidecar"
+        );
+    }
+}
+
+/// Sidecar entries per block after a rebuild. A split inserts into one
+/// block — O(`RUN_BLOCK`) there plus O(P / `RUN_BLOCK`) to shift the later
+/// blocks' first-piece indexes — instead of shifting all P entries; a
+/// block that grows past twice this size is cut.
+const RUN_BLOCK: usize = 256;
+
+/// The run-sum sidecar of a [`PieceIndex`]: over the pieces in order, the
+/// running total of their cached sums (unknown sums count 0) and the
+/// running count of pieces without one. The cached total of a run of whole
+/// pieces is the difference of two running totals, valid when the two
+/// running counts agree.
+///
+/// Block `k` holds the entries of pieces `firsts[k]..firsts[k + 1]`. The
+/// first-piece indexes sit in their own dense array: a split shifts every
+/// later one, and a lookup binary-searches them.
+#[derive(Debug, Clone, Default)]
+struct RunSums {
+    firsts: Vec<usize>,
+    blocks: Vec<RunBlock>,
+}
+
+/// One block of the sidecar.
+#[derive(Debug, Clone)]
+struct RunBlock {
+    /// Summed cached sums of every piece before the block.
+    base_sum: i128,
+    /// Pieces before the block without a cached sum.
+    base_uncached: usize,
+    /// Running cached-sum total through each of the block's pieces
+    /// (inclusive), relative to `base_sum`.
+    sums: Vec<i128>,
+    /// Running count of uncached pieces through each of the block's pieces
+    /// (inclusive), relative to `base_uncached`.
+    uncached: Vec<u32>,
+}
+
+impl RunBlock {
+    fn len(&self) -> usize {
+        self.sums.len()
+    }
+
+    /// Absolute running totals through the block's last piece.
+    fn end_totals(&self) -> (i128, usize) {
+        let last = self.len() - 1;
+        (
+            self.base_sum + self.sums[last],
+            self.base_uncached + self.uncached[last] as usize,
+        )
+    }
+}
+
+/// What one piece adds to the running totals.
+fn contribution(p: &Piece) -> (i128, u32) {
+    (p.sum.unwrap_or(0), u32::from(p.sum.is_none()))
+}
+
+impl RunSums {
+    /// Number of pieces the sidecar covers.
+    fn entries(&self) -> usize {
+        match (self.firsts.last(), self.blocks.last()) {
+            (Some(&first), Some(b)) => first + b.len(),
+            _ => 0,
+        }
+    }
+
+    /// The block holding piece `idx` (which the sidecar must cover).
+    fn block_of(&self, idx: usize) -> usize {
+        self.firsts.partition_point(|&f| f <= idx) - 1
+    }
+
+    /// Running totals over pieces `[0, i)`, or `None` if the sidecar does
+    /// not reach that far.
+    fn prefix(&self, i: usize) -> Option<(i128, usize)> {
+        let Some(j) = i.checked_sub(1) else {
+            return Some((0, 0));
+        };
+        let k = self.firsts.partition_point(|&f| f <= j).checked_sub(1)?;
+        let b = &self.blocks[k];
+        let o = j - self.firsts[k];
+        Some((
+            b.base_sum + *b.sums.get(o)?,
+            b.base_uncached + *b.uncached.get(o)? as usize,
+        ))
+    }
+
+    /// Cached total of the pieces `run`, if none of them lacks a sum.
+    fn run_sum(&self, run: Range<usize>) -> Option<i128> {
+        let (s0, u0) = self.prefix(run.start)?;
+        let (s1, u1) = self.prefix(run.end)?;
+        (u0 == u1).then_some(s1 - s0)
+    }
+
+    /// Re-derives the entries of pieces `from..` (the entries before
+    /// `from` are kept): the bulk form, for paths that already sweep the
+    /// piece table from `from` on.
+    fn resync(&mut self, pieces: &[Piece], from: usize) {
+        let from = from.min(self.entries()).min(pieces.len());
+        let keep = self.firsts.partition_point(|&f| f < from);
+        self.firsts.truncate(keep);
+        self.blocks.truncate(keep);
+        if let (Some(&first), Some(last)) = (self.firsts.last(), self.blocks.last_mut()) {
+            last.sums.truncate(from - first);
+            last.uncached.truncate(from - first);
+        }
+        for p in &pieces[from..] {
+            self.push(p);
+        }
+    }
+
+    /// Appends the entry of the next piece.
+    fn push(&mut self, p: &Piece) {
+        let (s, u) = contribution(p);
+        match self.blocks.last_mut() {
+            Some(b) if b.len() < RUN_BLOCK => {
+                let last = b.len() - 1;
+                let (ps, pu) = (b.sums[last], b.uncached[last]);
+                b.sums.push(ps + s);
+                b.uncached.push(pu + u);
+            }
+            _ => {
+                let first = self.entries();
+                let (base_sum, base_uncached) =
+                    self.blocks.last().map_or((0, 0), RunBlock::end_totals);
+                let mut sums = Vec::with_capacity(RUN_BLOCK);
+                let mut uncached = Vec::with_capacity(RUN_BLOCK);
+                sums.push(s);
+                uncached.push(u);
+                self.firsts.push(first);
+                self.blocks.push(RunBlock {
+                    base_sum,
+                    base_uncached,
+                    sums,
+                    uncached,
+                });
+            }
+        }
+    }
+
+    /// Adds each `(idx, delta)` (ascending; cached pieces only) to the
+    /// running sums from piece `idx` on: the entries from the first delta
+    /// to the end of the last affected block, then the later bases.
+    fn add(&mut self, deltas: impl IntoIterator<Item = (usize, i128)>) {
+        let mut deltas = deltas.into_iter().peekable();
+        let Some(&(first, _)) = deltas.peek() else {
+            return;
+        };
+        let mut acc = 0i128;
+        for k in self.block_of(first)..self.blocks.len() {
+            let (b, first) = (&mut self.blocks[k], self.firsts[k]);
+            b.base_sum += acc;
+            let Some(&(idx, _)) = deltas.peek().filter(|&&(idx, _)| idx < first + b.len()) else {
+                if deltas.peek().is_none() && acc == 0 {
+                    break;
+                }
+                continue;
+            };
+            // Segment by segment: the entries between two deltas of the
+            // block all rise by the deltas seen so far.
+            let mut local = 0i128;
+            let mut from = idx - first;
+            while from < b.len() {
+                while let Some((_, delta)) = deltas.next_if(|&(idx, _)| idx == first + from) {
+                    local += delta;
+                }
+                let to = deltas
+                    .peek()
+                    .map_or(b.len(), |&(idx, _)| (idx - first).min(b.len()));
+                for x in &mut b.sums[from..to] {
+                    *x += local;
+                }
+                from = to;
+            }
+            acc += local;
+        }
+    }
+
+    /// Removes the entry of piece `idx` (an emptied piece leaving the
+    /// table): the block closes the gap — less the piece's own
+    /// contribution, read off the sidecar — and later blocks shift down by
+    /// one piece and that contribution.
+    fn remove(&mut self, idx: usize) {
+        let k = self.block_of(idx);
+        let b = &mut self.blocks[k];
+        let o = idx - self.firsts[k];
+        let (prev_s, prev_u) = match o.checked_sub(1) {
+            Some(prev) => (b.sums[prev], b.uncached[prev]),
+            None => (0, 0),
+        };
+        let (ds, du) = (b.sums[o] - prev_s, b.uncached[o] - prev_u);
+        b.sums.remove(o);
+        b.uncached.remove(o);
+        if ds != 0 || du != 0 {
+            for x in &mut b.sums[o..] {
+                *x -= ds;
+            }
+            for x in &mut b.uncached[o..] {
+                *x -= du;
+            }
+            for later in &mut self.blocks[k + 1..] {
+                later.base_sum -= ds;
+                later.base_uncached -= du as usize;
+            }
+        }
+        for f in &mut self.firsts[k + 1..] {
+            *f -= 1;
+        }
+        if self.blocks[k].sums.is_empty() {
+            self.firsts.remove(k);
+            self.blocks.remove(k);
+        }
+    }
+
+    /// Patches the sidecar after piece `idx` was replaced by the
+    /// `added + 1` pieces `pieces[idx..=idx + added]` (a split; `added ==
+    /// 0` for an in-place sum edit). Only the entries of the affected
+    /// block are rewritten; later blocks shift their first-piece index by
+    /// `added` and — only when the replaced pieces' total or uncached
+    /// count changed — their bases.
+    fn splice(&mut self, pieces: &[Piece], idx: usize, added: usize) {
+        let k = self.block_of(idx);
+        let b = &mut self.blocks[k];
+        let o = idx - self.firsts[k];
+        let (mut s, mut u) = match o.checked_sub(1) {
+            Some(prev) => (b.sums[prev], b.uncached[prev]),
+            None => (0, 0),
+        };
+        let (old_s, old_u) = (b.sums[o], b.uncached[o]);
+        match added {
+            0 => {}
+            1 => {
+                b.sums.insert(o + 1, 0);
+                b.uncached.insert(o + 1, 0);
+            }
+            _ => {
+                b.sums.splice(o + 1..o + 1, std::iter::repeat_n(0, added));
+                b.uncached
+                    .splice(o + 1..o + 1, std::iter::repeat_n(0, added));
+            }
+        }
+        for (j, p) in pieces[idx..=idx + added].iter().enumerate() {
+            let (ps, pu) = contribution(p);
+            s += ps;
+            u += pu;
+            b.sums[o + j] = s;
+            b.uncached[o + j] = u;
+        }
+        let ds = s - old_s;
+        let du = i64::from(u) - i64::from(old_u);
+        if ds != 0 || du != 0 {
+            for x in &mut b.sums[o + added + 1..] {
+                *x += ds;
+            }
+            for x in &mut b.uncached[o + added + 1..] {
+                *x = x.wrapping_add_signed(du as i32);
+            }
+            for later in &mut self.blocks[k + 1..] {
+                later.base_sum += ds;
+                later.base_uncached = later.base_uncached.wrapping_add_signed(du as isize);
+            }
+        }
+        if added > 0 {
+            for f in &mut self.firsts[k + 1..] {
+                *f += added;
+            }
+            self.cut_oversized(k);
+        }
+    }
+
+    /// Cuts block `k` into blocks of `RUN_BLOCK` entries while it holds
+    /// more than twice that many.
+    fn cut_oversized(&mut self, mut k: usize) {
+        while self.blocks[k].len() > 2 * RUN_BLOCK {
+            let b = &mut self.blocks[k];
+            let (cut_s, cut_u) = (b.sums[RUN_BLOCK - 1], b.uncached[RUN_BLOCK - 1]);
+            let mut sums = b.sums.split_off(RUN_BLOCK);
+            let mut uncached = b.uncached.split_off(RUN_BLOCK);
+            sums.iter_mut().for_each(|x| *x -= cut_s);
+            uncached.iter_mut().for_each(|x| *x -= cut_u);
+            let next = RunBlock {
+                base_sum: b.base_sum + cut_s,
+                base_uncached: b.base_uncached + cut_u as usize,
+                sums,
+                uncached,
+            };
+            self.firsts.insert(k + 1, self.firsts[k] + RUN_BLOCK);
+            self.blocks.insert(k + 1, next);
+            k += 1;
+        }
+    }
+
+    /// Whether the sidecar is exactly the running totals of `pieces`:
+    /// contiguous, non-empty, bounded blocks whose bases and entries equal
+    /// a fresh running sum.
+    fn matches(&self, pieces: &[Piece]) -> bool {
+        if self.firsts.len() != self.blocks.len() {
+            return false;
+        }
+        let (mut s, mut u, mut next) = (0i128, 0usize, 0usize);
+        for (&first, b) in self.firsts.iter().zip(&self.blocks) {
+            if first != next
+                || b.sums.is_empty()
+                || b.len() > 2 * RUN_BLOCK
+                || b.uncached.len() != b.len()
+                || (b.base_sum, b.base_uncached) != (s, u)
+            {
+                return false;
+            }
+            let Some(covered) = pieces.get(first..first + b.len()) else {
+                return false;
+            };
+            for (j, p) in covered.iter().enumerate() {
+                let (ps, pu) = contribution(p);
+                s += ps;
+                u += pu as usize;
+                if (
+                    b.base_sum + b.sums[j],
+                    b.base_uncached + b.uncached[j] as usize,
+                ) != (s, u)
+                {
+                    return false;
+                }
+            }
+            next += b.len();
+        }
+        next == pieces.len()
+    }
+
+    /// Whether each piece in `range` (clamped) accounts for exactly its
+    /// own contribution between its two neighbouring running totals.
+    fn matches_range(&self, pieces: &[Piece], range: Range<usize>) -> bool {
+        if self.firsts.len() != self.blocks.len() || self.entries() != pieces.len() {
+            return false;
+        }
+        let end = range.end.min(pieces.len());
+        (range.start.min(end)..end).all(|i| {
+            let (ps, pu) = contribution(&pieces[i]);
+            match (self.prefix(i), self.prefix(i + 1)) {
+                (Some((s0, u0)), Some((s1, u1))) => {
+                    s1 - s0 == ps && u1.checked_sub(u0) == Some(pu as usize)
+                }
+                _ => false,
+            }
+        })
     }
 }
 
@@ -614,6 +1148,21 @@ mod tests {
     }
 
     #[test]
+    fn galloping_position_search_matches_the_full_search() {
+        let idx = split_sorted_model(1000, &(1..60).map(|i| i * 16 + i % 7).collect::<Vec<_>>());
+        for from in 0..idx.piece_count() {
+            for pos in idx.piece(from).start..idx.len() {
+                assert_eq!(
+                    idx.find_piece_for_position_from(from, pos),
+                    idx.find_piece_for_position(pos),
+                    "from {from}, pos {pos}"
+                );
+            }
+        }
+        assert_eq!(idx.find_piece_for_position_from(0, idx.len()), None);
+    }
+
+    #[test]
     fn resolved_boundary_detects_known_pivots() {
         let mut idx = PieceIndex::new(10);
         assert_eq!(idx.resolved_boundary(100), None);
@@ -633,10 +1182,7 @@ mod tests {
         // mark the single piece sorted
         let mut p = idx.piece(0);
         p.sorted = true;
-        idx = PieceIndex {
-            pieces: vec![p],
-            len: 6,
-        };
+        idx = PieceIndex::with_pieces(6, vec![p]);
         idx.split(0, 3, 10);
         assert!(idx.piece(0).sorted);
         assert!(idx.piece(1).sorted);
@@ -874,7 +1420,7 @@ mod tests {
         let data = vec![10, 20, 30, 60];
         let mut idx = PieceIndex::new_sorted(4);
         idx.pieces_mut()[0].prefix = Some(Arc::new(PrefixSums::build(0, &data)));
-        idx.pieces_mut()[0].sum = Some(120);
+        idx.set_sum(0, Some(120));
         idx.grow(1);
         assert!(idx.piece(0).prefix.is_none(), "grow extends past the array");
         assert_eq!(idx.piece(0).sum, None);
@@ -882,11 +1428,143 @@ mod tests {
         // Truncation keeps a covering prefix and re-derives the sum.
         let mut idx = PieceIndex::new_sorted(4);
         idx.pieces_mut()[0].prefix = Some(Arc::new(PrefixSums::build(0, &data)));
-        idx.pieces_mut()[0].sum = Some(120);
+        idx.set_sum(0, Some(120));
         idx.shrink(1);
         assert!(idx.piece(0).prefix.is_some());
         assert_eq!(idx.piece(0).sum, Some(60));
         assert!(idx.validate(&data[..3]));
+    }
+
+    /// A sorted model column `0..n` split at `pivots` in the given order,
+    /// with sums recorded except on every fifth split.
+    fn split_sorted_model(n: usize, pivots: &[usize]) -> PieceIndex {
+        let sum = |r: std::ops::Range<usize>| r.map(|v| v as i128).sum::<i128>();
+        let mut idx = PieceIndex::new(n);
+        for (i, &v) in pivots.iter().enumerate() {
+            let target = idx.find_piece_for_value(v as Value).unwrap();
+            if idx.resolved_boundary(v as Value).is_some() {
+                continue;
+            }
+            let p = idx.piece(target);
+            if i % 5 == 4 {
+                idx.split(target, v, v as Value);
+            } else {
+                idx.split_with_sums(target, v, v as Value, sum(p.start..v), sum(p.start..p.end));
+            }
+        }
+        idx
+    }
+
+    fn walk(idx: &PieceIndex, run: std::ops::Range<usize>) -> Option<i128> {
+        idx.pieces()[run].iter().map(|p| p.sum).sum()
+    }
+
+    #[test]
+    fn run_sums_span_many_blocks_through_incremental_splits() {
+        // 3000 splits in scrambled order: inserts land in every block,
+        // blocks grow past the cut size and are cut, later bases shift.
+        let n = 20_000;
+        let pivots: Vec<usize> = (1..3001).map(|i| (i * 7919) % (n - 1) + 1).collect();
+        let mut idx = split_sorted_model(n, &pivots);
+        let data: Vec<Value> = (0..n as Value).collect();
+        assert!(idx.piece_count() > 4 * RUN_BLOCK, "spans several blocks");
+        assert!(idx.runs.blocks.len() > 4);
+        assert!(idx.validate(&data));
+        let pc = idx.piece_count();
+        for a in (0..pc).step_by(97) {
+            for b in [a + 1, (a + 300).min(pc), pc] {
+                assert_eq!(idx.cached_run_sum(a..b), walk(&idx, a..b), "{a}..{b}");
+            }
+        }
+        // Filling every unknown sum is a single-piece edit each; afterwards
+        // every run is priced by the sidecar.
+        for i in 0..pc {
+            if idx.piece(i).sum.is_none() {
+                let p = idx.piece(i);
+                idx.set_sum(i, Some((p.start..p.end).map(|v| v as i128).sum()));
+            }
+        }
+        assert!(idx.validate(&data));
+        let total: i128 = (0..n).map(|v| v as i128).sum();
+        assert_eq!(idx.cached_run_sum(0..pc), Some(total));
+        // Equality sees only the pieces: a rebuilt sidecar compares equal.
+        let rebuilt = PieceIndex::from_parts(n, idx.pieces().to_vec()).unwrap();
+        assert_eq!(rebuilt, idx);
+        assert!(rebuilt.validate(&data));
+    }
+
+    #[test]
+    fn removing_empty_pieces_keeps_the_sidecar_across_blocks() {
+        let n = 20_000;
+        let pivots: Vec<usize> = (1..2001).map(|i| (i * 7919) % (n - 1) + 1).collect();
+        let mut idx = split_sorted_model(n, &pivots);
+        assert!(idx.runs.blocks.len() > 3);
+        // Empty a whole block's pieces (the block itself must go) plus
+        // every third uncached piece further on (their removal shifts the
+        // later uncached counts), each absorbed by the piece before it.
+        let (first, len) = (idx.runs.firsts[1], idx.runs.blocks[1].len());
+        let mut empties: Vec<usize> = (first..first + len).collect();
+        let later = first + len + 1;
+        empties.extend(
+            (later..idx.piece_count())
+                .filter(|&i| idx.piece(i).sum.is_none())
+                .step_by(3),
+        );
+        {
+            let mut pieces = idx.pieces_mut();
+            for &i in empties.iter().rev() {
+                let end = pieces[i].end;
+                pieces[i - 1].end = end;
+                pieces[i].start = end;
+                for p in &mut pieces[i + 1..] {
+                    if p.start < end {
+                        p.start = end;
+                        p.end = p.end.max(end);
+                    }
+                }
+            }
+        }
+        let empties: Vec<usize> = (0..idx.piece_count())
+            .filter(|&i| idx.piece(i).is_empty())
+            .collect();
+        assert!(empties.len() > RUN_BLOCK);
+        let before = idx.piece_count();
+        idx.remove_empty_pieces(&empties);
+        assert_eq!(idx.piece_count(), before - empties.len());
+        assert!(idx.pieces().iter().all(|p| !p.is_empty()));
+        assert!(idx.runs.matches(idx.pieces()), "sidecar diverged");
+        let pc = idx.piece_count();
+        for a in (0..pc).step_by(41) {
+            assert_eq!(idx.cached_run_sum(a..pc), walk(&idx, a..pc), "{a}..");
+        }
+    }
+
+    #[test]
+    fn a_diverged_sidecar_is_a_validation_fault() {
+        let n = 4_000;
+        let pivots: Vec<usize> = (1..900).map(|i| (i * 104_729) % (n - 1) + 1).collect();
+        let data: Vec<Value> = (0..n as Value).collect();
+        let clean = split_sorted_model(n, &pivots);
+        assert!(clean.validate(&data));
+        assert!(clean.run_sums_match(0..clean.piece_count()));
+        // An entry inside a block.
+        let mut bad = clean.clone();
+        bad.runs.blocks[1].sums[3] += 1;
+        assert!(!bad.validate(&data), "entry divergence");
+        assert!(!bad.run_sums_match(0..bad.piece_count()));
+        let at = bad.runs.firsts[1] + 3;
+        assert!(
+            !bad.run_sums_match(at..at + 1),
+            "the scrub window pinpoints it"
+        );
+        // A later block's base.
+        let mut bad = clean.clone();
+        let last = bad.runs.blocks.len() - 1;
+        assert!(last >= 1, "the table spans several blocks");
+        bad.runs.blocks[last].base_uncached += 1;
+        assert!(!bad.validate(&data), "base divergence");
+        // Equality is blind to it: the pieces are untouched.
+        assert_eq!(bad, clean);
     }
 
     #[test]

@@ -235,9 +235,7 @@ impl CrackerColumn {
             }
             index.grow(1);
             // The fresh single piece holds exactly the inserted value.
-            if let Some(p) = index.pieces_mut().last_mut() {
-                p.sum = Some(i128::from(v));
-            }
+            index.set_sum(0, Some(i128::from(v)));
             return;
         }
         let target = index
@@ -246,22 +244,6 @@ impl CrackerColumn {
             // silently dropping the insert would be worse than aborting.
             // lint:allow(panic-path)
             .expect("non-empty index has a piece for every value");
-        // The target piece's bounds are conservative knowledge about its
-        // current contents; a merged insert may fall just outside them (e.g.
-        // below the first piece's tightened lower bound, or above the last
-        // piece's tightened upper bound). Relax the bound so the piece admits
-        // the new value — neighbouring pieces are unaffected because
-        // `find_piece_for_value` guarantees the value sorts into this piece.
-        {
-            let pieces = index.pieces_mut();
-            let p = &mut pieces[target];
-            if p.lo.is_some_and(|lo| v < lo) {
-                p.lo = Some(v);
-            }
-            if p.hi.is_some_and(|hi| v >= hi) {
-                p.hi = Some(v.saturating_add(1));
-            }
-        }
         // Open a free slot at the very end of the array. `grow` invalidates
         // the last piece's sum and prefix, so save both: the sum is restored
         // below (the ripple preserves every non-target multiset), and the
@@ -280,7 +262,22 @@ impl CrackerColumn {
             r.push(rowid);
         }
         index.grow(1); // invalidates the last piece's cached sum and prefix
-        let pieces = index.pieces_mut();
+        let mut pieces = index.pieces_mut();
+        // The target piece's bounds are conservative knowledge about its
+        // current contents; a merged insert may fall just outside them (e.g.
+        // below the first piece's tightened lower bound, or above the last
+        // piece's tightened upper bound). Relax the bound so the piece admits
+        // the new value — neighbouring pieces are unaffected because
+        // `find_piece_for_value` guarantees the value sorts into this piece.
+        {
+            let p = &mut pieces[target];
+            if p.lo.is_some_and(|lo| v < lo) {
+                p.lo = Some(v);
+            }
+            if p.hi.is_some_and(|hi| v >= hi) {
+                p.hi = Some(v.saturating_add(1));
+            }
+        }
         let last = pieces.len() - 1;
         // The free slot currently sits at the end of the last piece. Ripple
         // it down to the target piece: each piece moves its first element to
@@ -304,11 +301,6 @@ impl CrackerColumn {
         if let Some(r) = rowids.as_deref_mut() {
             r[free_slot] = rowid;
         }
-        // Every rippled piece kept its value multiset, so their cached sums
-        // are still exact: restore the last piece's (cleared by `grow`) and
-        // patch the target's, which is the only piece that gained a value.
-        pieces[last].sum = saved_last.sum;
-        pieces[target].sum = pieces[target].sum.map(|s| s + i128::from(v));
         // Rippled-through pieces had their first value rotated to their end
         // (and their extents shifted), so sortedness and prefix arrays are
         // gone for them. The target piece can do better: if it was sorted
@@ -352,6 +344,12 @@ impl CrackerColumn {
             p.sorted = false;
             p.prefix = None;
         }
+        drop(pieces);
+        // Every rippled piece kept its value multiset, so their cached sums
+        // are still exact: restore the last piece's (cleared by `grow`) and
+        // patch the target's, which is the only piece that gained a value.
+        index.set_sum(last, saved_last.sum);
+        index.patch_sums(&[(target, i128::from(v))]);
     }
 
     /// Batched ripple insertion: inserts every `(value, rowid)` pair with a
@@ -395,20 +393,6 @@ impl CrackerColumn {
             // lint:allow(panic-path)
             .map(|&(v, _)| index.find_piece_for_value(v).expect("non-empty index"))
             .collect();
-        // Relax each target piece's bounds to admit its gained values (the
-        // batch analogue of the scalar ripple's relaxation).
-        {
-            let pieces = index.pieces_mut();
-            for (&(v, _), &t) in sorted.iter().zip(&targets) {
-                let p = &mut pieces[t];
-                if p.lo.is_some_and(|lo| v < lo) {
-                    p.lo = Some(v);
-                }
-                if p.hi.is_some_and(|hi| v >= hi) {
-                    p.hi = Some(v.saturating_add(1));
-                }
-            }
-        }
         // Open K slots at the end. `grow` invalidates the last piece's sum;
         // save it — the fix-up pass below restores it (patched by any gain).
         let saved_last_sum = index.pieces().last().and_then(|p| p.sum);
@@ -418,10 +402,20 @@ impl CrackerColumn {
             r.resize(old_len + k, 0);
         }
         index.grow(k);
-        let pieces = index.pieces_mut();
+        let mut pieces = index.pieces_mut();
+        // Relax each target piece's bounds to admit its gained values (the
+        // batch analogue of the scalar ripple's relaxation).
+        for (&(v, _), &t) in sorted.iter().zip(&targets) {
+            let p = &mut pieces[t];
+            if p.lo.is_some_and(|lo| v < lo) {
+                p.lo = Some(v);
+            }
+            if p.hi.is_some_and(|hi| v >= hi) {
+                p.hi = Some(v.saturating_add(1));
+            }
+        }
         let last = pieces.len() - 1;
         pieces[last].end = old_len;
-        pieces[last].sum = saved_last_sum;
         // Data, from the top down: the values landing in piece `t` are
         // `sorted[a..b]`; everything behind that piece moves up by `b` in
         // one move (however many pieces it spans) and the group fills the
@@ -449,6 +443,7 @@ impl CrackerColumn {
         // the number of batch values landing below it and its end
         // additionally absorbs its own gain.
         let mut below = 0;
+        let mut gains: Vec<(usize, i128)> = Vec::new();
         for (i, p) in pieces.iter_mut().enumerate().skip(targets[0]) {
             let gain = targets[below..].iter().take_while(|&&t| t == i).count();
             if gain > 0 {
@@ -456,7 +451,7 @@ impl CrackerColumn {
                     .iter()
                     .map(|&(v, _)| i128::from(v))
                     .sum();
-                p.sum = p.sum.map(|s| s + gained);
+                gains.push((i, gained));
                 p.sorted = false;
             }
             // A moved piece keeps its order and multiset (so `sorted` and
@@ -467,6 +462,12 @@ impl CrackerColumn {
             below += gain;
             p.end += below;
         }
+        drop(pieces);
+        // The last piece's sum, cleared by `grow`, comes back (the sweep
+        // keeps every multiset but the gaining pieces'), then the gaining
+        // pieces are patched by their gained totals.
+        index.set_sum(last, saved_last_sum);
+        index.patch_sums(&gains);
     }
 
     /// Ripple deletion: removes one occurrence of `v` (if present) by
@@ -488,11 +489,11 @@ impl CrackerColumn {
         let Some(target) = index.find_piece_for_value(v) else {
             return false;
         };
-        let pieces = index.pieces_mut();
-        let p = pieces[target].clone();
+        let p = index.pieces()[target].clone();
         let Some(offset) = data[p.start..p.end].iter().position(|&x| x == v) else {
             return false;
         };
+        let mut pieces = index.pieces_mut();
         let mut hole = p.start + offset;
         let last_of_piece = p.end - 1;
         let patched_prefix = p
@@ -522,9 +523,6 @@ impl CrackerColumn {
             }
         }
         hole = last_of_piece;
-        // The ripple below preserves every other piece's value multiset;
-        // only the target loses `v` — patch its cached sum accordingly.
-        pieces[target].sum = pieces[target].sum.map(|s| s - i128::from(v));
         // Ripple the hole through the following pieces: each piece hands its
         // first slot to the previous piece's hole and re-opens the hole at
         // its own end.
@@ -558,7 +556,15 @@ impl CrackerColumn {
             piece.start -= 1;
             piece.end -= 1;
         }
-        index.drop_empty_pieces();
+        drop(pieces);
+        // The ripple preserves every other piece's value multiset; only the
+        // target loses `v` — patch its cached sum accordingly. A target
+        // emptied by the delete (the only piece that shrank) leaves the
+        // table.
+        index.patch_sums(&[(target, -i128::from(v))]);
+        if index.pieces()[target].is_empty() {
+            index.remove_empty_pieces(&[target]);
+        }
         index.set_len(data.len());
         true
     }
@@ -635,15 +641,14 @@ impl CrackerColumn {
         }
         // One pass over the piece table from the lowest hole's piece up:
         // every piece moves down by the holes below it and shrinks by its
-        // own, and a piece left empty leaves the table.
-        let pieces = index.pieces_mut();
-        let first = pieces.partition_point(|p| p.end <= lowest);
-        let (mut at, mut below, mut next_hole) = (0, 0, 0);
-        pieces.retain_mut(|p| {
-            at += 1;
-            if at <= first {
-                return true;
-            }
+        // own; the losing pieces' sums are patched after it, and a piece
+        // left empty leaves the table.
+        let first = index.pieces().partition_point(|p| p.end <= lowest);
+        let mut pieces = index.pieces_mut();
+        let (mut below, mut next_hole) = (0, 0);
+        let mut losses: Vec<(usize, i128)> = Vec::new();
+        let mut empties: Vec<usize> = Vec::new();
+        for (i, p) in pieces.iter_mut().enumerate().skip(first) {
             let mut lost: i128 = 0;
             let holes_before = next_hole;
             while let Some(&(_, v)) = holes.get(next_hole).filter(|&&(h, _)| h < p.end) {
@@ -651,14 +656,19 @@ impl CrackerColumn {
                 next_hole += 1;
             }
             if next_hole != holes_before {
-                p.sum = p.sum.map(|s| s - lost);
+                losses.push((i, -lost));
             }
             p.start -= below;
             below += next_hole - holes_before;
             p.end -= below;
             p.prefix = None;
-            !p.is_empty()
-        });
+            if p.is_empty() {
+                empties.push(i);
+            }
+        }
+        drop(pieces);
+        index.patch_sums(&losses);
+        index.remove_empty_pieces(&empties);
         index.set_len(data.len());
         found
     }

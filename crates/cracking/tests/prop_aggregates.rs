@@ -14,11 +14,19 @@
 //!   `grow`/`shrink` against a model data array;
 //! * full sorts (`sort_fully`) interleaved with everything above: sorted
 //!   pieces carry prefix-sum arrays that must stay exact through
-//!   binary-search splits and ripple-patched update merges.
+//!   binary-search splits and ripple-patched update merges;
+//! * the piece index's run-sum sidecar: after every operation of random
+//!   programs (cracks, batch cracks, ripple insert/delete batches, sorts
+//!   and prefix seeding, recovery round-trips, injected sum flips, direct
+//!   grow/shrink), the sidecar's total for a run of whole pieces equals
+//!   the piece-by-piece walk, and the aggregate over the run equals a
+//!   scan of the data.
 
 use proptest::prelude::*;
 
-use holistic_cracking::{CrackerColumn, PieceIndex, UpdatableCrackerColumn};
+use holistic_cracking::{
+    corrupt_column, CorruptionKind, CrackerColumn, PieceIndex, UpdatableCrackerColumn,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,6 +62,50 @@ fn assert_cache_equals_recompute(c: &CrackerColumn) {
                     "piece {i} prefix diverged at position {pos}"
                 );
             }
+        }
+    }
+}
+
+/// Sidecar ≡ walk: for every run of whole pieces — all runs on small
+/// tables, the runs from a spread of start pieces on large ones — the
+/// index's cached run sum equals the piece-by-piece total of the cached
+/// sums, and is `None` exactly when the run holds a piece without one (the
+/// case `aggregate_range` must price by walking).
+fn assert_sidecar_equals_walk(idx: &PieceIndex) {
+    let pieces = idx.pieces();
+    let n = pieces.len();
+    let stride = (n / 12).max(1);
+    for a in (0..n).filter(|&a| n <= 64 || a % stride == 0 || a + 1 == n) {
+        let mut walk = Some(0i128);
+        for b in a + 1..=n {
+            walk = walk.and_then(|w| pieces[b - 1].sum.map(|s| w + s));
+            assert_eq!(idx.cached_run_sum(a..b), walk, "run {a}..{b} of {n}");
+        }
+    }
+    assert_eq!(idx.cached_run_sum(0..n + 1), None, "run past the table");
+}
+
+/// Walk ≡ scan: aggregates over runs of whole pieces (every single piece
+/// and a spread of longer runs) equal a scan of the data, and account for
+/// every piece of the run exactly once.
+fn assert_runs_equal_scan(c: &CrackerColumn) {
+    let pieces = c.pieces();
+    let n = pieces.len();
+    let stride = (n / 8).max(1);
+    for a in 0..n {
+        let ends = [a + 1, (a + stride).min(n), n];
+        for b in ends {
+            if a % stride != 0 && b != a + 1 {
+                continue;
+            }
+            let range = pieces[a].start..pieces[b - 1].end;
+            let agg = c.aggregate_range(range.clone(), i64::MIN, i64::MAX);
+            assert_eq!(agg.sum, slice_sum(&c.data()[range]), "run {a}..{b}");
+            assert_eq!(
+                agg.cached_pieces + agg.prefix_pieces + agg.scanned_pieces,
+                b - a,
+                "run {a}..{b} accounts for each piece once"
+            );
         }
     }
 }
@@ -296,7 +348,9 @@ proptest! {
         let mut idx = PieceIndex::new(data.len());
         for &(tag, pivot, k) in &ops {
             match tag {
-                // Sum-recorded split at `pivot` inside its current piece.
+                // Sum-recorded split at `pivot` inside its current piece;
+                // every third one records no sums (uncached pieces the
+                // sidecar must report as such).
                 0 | 1 => {
                     if idx.is_empty() {
                         continue;
@@ -315,7 +369,11 @@ proptest! {
                     let lo_sum = slice_sum(&parts[..split]);
                     let total = slice_sum(&parts);
                     slice.copy_from_slice(&parts);
-                    idx.split_with_sums(target, p.start + split, pivot, lo_sum, total);
+                    if k % 3 == 0 {
+                        idx.split(target, p.start + split, pivot);
+                    } else {
+                        idx.split_with_sums(target, p.start + split, pivot, lo_sum, total);
+                    }
                 }
                 // Grow: append k values (the appended tail is admissible
                 // for the last piece only if its bounds allow; mirror the
@@ -340,6 +398,114 @@ proptest! {
                 }
             }
             prop_assert!(idx.validate(&data), "index invariants (incl. sums) violated");
+            assert_sidecar_equals_walk(&idx);
+        }
+    }
+}
+
+proptest! {
+    // Fewer, larger cases: the programs refine columns past a thousand
+    // pieces, so the sidecar spans several blocks and its block cuts,
+    // cross-block deltas and removals are exercised.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn sidecar_equals_walk_equals_scan_through_random_programs(
+        values in prop::collection::vec(-20_000i64..20_000, 0..4000),
+        ops in prop::collection::vec((0u8..10, -21_000i64..21_000, 0i64..1200), 1..24),
+        with_rowids in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mut c = if with_rowids {
+            CrackerColumn::from_values_with_rowids(values.clone())
+        } else {
+            CrackerColumn::from_values(values.clone())
+        };
+        let mut reference = values.clone();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut next_rowid = values.len() as u32;
+        for &(tag, a, w) in &ops {
+            match tag {
+                0 => {
+                    let _ = c.crack_select(a, a + w);
+                }
+                1 => {
+                    let bounds: Vec<(i64, i64)> =
+                        (0..4).map(|i| (a + i * 97, a + i * 97 + w / 4 + 1)).collect();
+                    let _ = c.crack_select_batch(&bounds);
+                }
+                2 => {
+                    let batch: Vec<(i64, u32)> = (0..(w % 9) + 2)
+                        .map(|i| {
+                            next_rowid += 1;
+                            (a + i * 31, next_rowid)
+                        })
+                        .collect();
+                    reference.extend(batch.iter().map(|&(v, _)| v));
+                    c.ripple_insert_batch(&batch);
+                }
+                3 => {
+                    let picks: Vec<i64> = (0..(w % 9) + 2)
+                        .filter_map(|i| {
+                            let n = reference.len();
+                            (n > 0).then(|| reference[(a.unsigned_abs() as usize + i as usize * 7) % n])
+                        })
+                        .collect();
+                    for (v, found) in picks.iter().zip(c.ripple_delete_batch(&picks)) {
+                        if found {
+                            let pos = reference.iter().position(|x| x == v).unwrap();
+                            reference.swap_remove(pos);
+                        }
+                    }
+                }
+                4 => {
+                    next_rowid += 1;
+                    c.ripple_insert(a, next_rowid);
+                    reference.push(a);
+                }
+                5 => {
+                    if let Some(&v) = reference.get(w as usize % reference.len().max(1)) {
+                        prop_assert!(c.ripple_delete(v));
+                        let pos = reference.iter().position(|&x| x == v).unwrap();
+                        reference.swap_remove(pos);
+                    }
+                }
+                6 => {
+                    let _ = c.seed_prefix_sums();
+                }
+                7 => c.sort_fully(),
+                8 => {
+                    // Recovery round-trip: the sidecar is rebuilt from the
+                    // decoded pieces, and equality sees only the pieces.
+                    let index = PieceIndex::from_parts(c.len(), c.pieces().to_vec()).unwrap();
+                    let back = CrackerColumn::from_parts(
+                        c.data().to_vec(),
+                        c.rowids().map(<[u32]>::to_vec),
+                        index,
+                        c.kernel(),
+                        c.cracks_performed(),
+                    )
+                    .unwrap();
+                    prop_assert_eq!(back.index(), c.index());
+                    c = back;
+                }
+                _ => {
+                    let _ = c.random_cracks(w as u64, &mut rng);
+                    // An injected sum flip travels through the sidecar too:
+                    // validation fails on the piece, the sidecar still
+                    // matches the (flipped) walk, and flipping back heals.
+                    if corrupt_column(&mut c, CorruptionKind::SumFlip) {
+                        assert_sidecar_equals_walk(c.index());
+                        prop_assert!(!c.validate(), "a flipped sum must be detected");
+                        prop_assert!(corrupt_column(&mut c, CorruptionKind::SumFlip));
+                    }
+                }
+            }
+            assert_sidecar_equals_walk(c.index());
+            prop_assert!(c.validate());
+            assert_runs_equal_scan(&c);
+            let full = c.aggregate_range(0..c.len(), i64::MIN, i64::MAX);
+            prop_assert_eq!(full.sum, slice_sum(&reference));
         }
     }
 }

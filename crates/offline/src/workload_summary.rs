@@ -69,6 +69,17 @@ impl WorkloadSummary {
         self.total_queries += queries;
     }
 
+    /// Sets `column`'s statistics wholesale, replacing any existing entry
+    /// and keeping the total consistent — for summaries assembled from
+    /// counters kept elsewhere (the kernel's per-column statistics).
+    pub fn insert_column(&mut self, column: ColumnId, workload: ColumnWorkload) {
+        let added = workload.queries;
+        if let Some(old) = self.columns.insert(column, workload) {
+            self.total_queries = self.total_queries.saturating_sub(old.queries);
+        }
+        self.total_queries += added;
+    }
+
     /// Forgets a column (dropped table): its entry is removed and its
     /// queries no longer count toward the total, so the frequencies of the
     /// remaining columns stay consistent. Returns whether it existed.
@@ -182,6 +193,23 @@ mod tests {
         assert_eq!(c0.min_bound, Some(50));
         assert_eq!(c0.max_bound, Some(200));
         assert!((s.frequency(col(0)) - 2.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn insert_column_replaces_an_entry_and_keeps_the_total() {
+        let mut s = WorkloadSummary::new();
+        s.record_query(col(0), 0.1, 0, 10);
+        let entry = ColumnWorkload {
+            queries: 5,
+            avg_selectivity: 0.2,
+            min_bound: Some(-3),
+            max_bound: Some(40),
+        };
+        s.insert_column(col(1), entry.clone());
+        assert_eq!(s.total_queries(), 6);
+        s.insert_column(col(0), entry.clone());
+        assert_eq!(s.total_queries(), 10);
+        assert_eq!(s.column(col(0)), Some(&entry));
     }
 
     #[test]

@@ -26,9 +26,6 @@
 //! |    40 | Online      | `Database::online` tuner state                |
 //! |    50 | StatsMap    | `KernelStatistics::columns` map lock          |
 //! |    60 | Histogram   | per-column `ColumnStats::predicate`           |
-//! |    70 | Summary     | `KernelStatistics::summary`                   |
-//! |    80 | Metrics     | `EngineMetrics::queries`                      |
-//! |    90 | Penalty     | `Database::pending_penalty`                   |
 //!
 //! A thread may hold any subset of these simultaneously as long as it
 //! acquired them in strictly increasing level order; two locks at the
@@ -111,14 +108,10 @@ pub enum LockLevel {
     Online = 40,
     /// `KernelStatistics::columns`: the per-column statistics map.
     StatsMap = 50,
-    /// Per-column predicate histogram (`ColumnStats::predicate`).
+    /// Per-column predicate histogram (`ColumnStats::predicate`): the
+    /// deepest level, and the only lock a resolved query takes after its
+    /// column latch.
     Histogram = 60,
-    /// `KernelStatistics::summary`: the observed-workload summary.
-    Summary = 70,
-    /// `EngineMetrics::queries`: the query-record log.
-    Metrics = 80,
-    /// `Database::pending_penalty`: offline-build latency accounting.
-    Penalty = 90,
 }
 
 // --- enforcement switch ----------------------------------------------------
@@ -579,10 +572,10 @@ mod tests {
         on();
         let engine = OrderedRwLock::new(LockLevel::Engine, "engine", 1);
         let column = OrderedRwLock::new(LockLevel::Column, "column", 2);
-        let metrics = OrderedMutex::new(LockLevel::Metrics, "metrics", 3);
+        let histogram = OrderedMutex::new(LockLevel::Histogram, "histogram", 3);
         let e = engine.read();
         let c = column.write();
-        let m = metrics.lock();
+        let m = histogram.lock();
         assert_eq!((*e, *c, *m), (1, 2, 3));
         assert_eq!(held_locks().len(), 3);
         drop((e, c, m));
@@ -631,7 +624,7 @@ mod tests {
     fn failed_try_acquisition_leaves_no_residue() {
         on();
         let col = OrderedRwLock::new(LockLevel::Column, "col", ());
-        let pen = OrderedMutex::new(LockLevel::Penalty, "pen", ());
+        let pen = OrderedMutex::new(LockLevel::Histogram, "pen", ());
         let w = col.write();
         let p = pen.lock();
         // Contended try_* from another thread must not leave entries on
@@ -664,11 +657,11 @@ mod tests {
 
     #[test]
     fn into_inner_and_accessors() {
-        let l = OrderedRwLock::new(LockLevel::Summary, "s", 7);
-        assert_eq!(l.level(), LockLevel::Summary);
+        let l = OrderedRwLock::new(LockLevel::StatsMap, "s", 7);
+        assert_eq!(l.level(), LockLevel::StatsMap);
         assert_eq!(l.name(), "s");
         assert_eq!(l.into_inner(), 7);
-        let m = OrderedMutex::new(LockLevel::Metrics, "m", 9);
+        let m = OrderedMutex::new(LockLevel::Histogram, "m", 9);
         assert_eq!(m.into_inner(), 9);
     }
 }

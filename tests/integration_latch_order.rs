@@ -56,7 +56,7 @@ fn engine_surface_runs_clean_under_latch_order_enforcement() {
     db.set_persistence(&dir, FaultInjector::new()).unwrap();
 
     // Single queries and batches crack both columns and feed statistics
-    // (CrackerMap -> Column -> StatsMap/Histogram/Summary -> Metrics).
+    // (CrackerMap -> Column -> StatsMap -> Histogram).
     for i in 0..48 {
         let lo = (i * 389) % ROWS;
         db.execute(&Query::range(a, lo, lo + 200)).unwrap();
