@@ -675,7 +675,7 @@ mod tests {
 
     #[test]
     fn raw_lock_ignores_ordered_wrappers_and_exempt_paths() {
-        let good = "let m = OrderedMutex::new(LockLevel::Histogram, \"m\", 0);\nlet r = OrderedRwLock::new(LockLevel::Column, \"r\", 1);\n";
+        let good = "let m = OrderedMutex::new(LockLevel::Online, \"m\", 0);\nlet r = OrderedRwLock::new(LockLevel::Column, \"r\", 1);\n";
         assert!(scan("crates/core/src/x.rs", good).is_empty());
         let raw = "let m = Mutex::new(0);\n";
         assert!(scan("crates/sync/src/lib.rs", raw).is_empty());

@@ -8,10 +8,17 @@ pub struct HolisticConfig {
     /// Piece size (in values) below which further refinement of a cracked
     /// column no longer improves query latency — the paper's observation
     /// that refinement stops paying off once pieces fit in the CPU cache.
+    /// It is also the floor of the hot-range boost: a boost pivot that
+    /// lands in a piece of at most this many values (or in a sorted piece)
+    /// is skipped without cracking.
     pub cache_piece_target: usize,
     /// A value range of a column is considered *hot* once at least this many
     /// queries have cracked it; hot ranges receive extra refinement during
-    /// query processing (the paper's "No Time" case).
+    /// query processing (the paper's "No Time" case). The count is per
+    /// exact predicate `[lo, hi)` and decays: the column's detector halves
+    /// its counts every [`SKETCH_WIDTH`](crate::stats::SKETCH_WIDTH)
+    /// queries, so it measures the current workload, and `u64::MAX`
+    /// switches boosting off.
     pub hot_range_query_threshold: u64,
     /// Number of auxiliary random cracks applied to a hot range per query.
     pub boost_cracks_per_query: u64,
@@ -30,8 +37,6 @@ pub struct HolisticConfig {
     /// Seed for the kernel's random number generator (auxiliary refinement
     /// actions, stochastic cracking). Fixed by default for reproducibility.
     pub rng_seed: u64,
-    /// Number of histogram buckets used to track hot value ranges.
-    pub hot_range_buckets: usize,
     /// Paranoia mode: after every execute/batch/idle action, run the full
     /// cracker-column validation (piece order, cached sums, prefix arrays)
     /// on the touched columns. A violation quarantines the column
@@ -71,7 +76,6 @@ impl Default for HolisticConfig {
             crack_policy: CrackPolicy::Standard,
             crack_kernel: CrackKernel::default(),
             rng_seed: 0x5EED_CAFE,
-            hot_range_buckets: 64,
             paranoia: paranoia_from_env(),
             shard_extent: 0,
         }
@@ -147,7 +151,6 @@ mod tests {
         let c = HolisticConfig::default();
         assert!(c.cache_piece_target > 0);
         assert!(c.epoch_length > 0);
-        assert!(c.hot_range_buckets > 0);
         assert_eq!(c.crack_policy, CrackPolicy::Standard);
     }
 

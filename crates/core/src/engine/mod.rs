@@ -26,9 +26,11 @@ use std::time::{Duration, Instant};
 
 use holistic_sync::{LockLevel, OrderedMutex, OrderedRwLock};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
-use holistic_cracking::{ConcurrentCrackerColumn, CorruptionInjector, CrackerColumn};
+use holistic_cracking::{
+    ConcurrentCrackerColumn, CorruptionInjector, CrackerColumn, KernelDispatches,
+};
 use holistic_offline::{Advisor, CostModel, SortedIndex, WorkloadSummary};
 use holistic_online::OnlineTuner;
 use holistic_storage::scan::find_first;
@@ -124,8 +126,9 @@ pub struct Database {
     online_index_count: std::sync::atomic::AtomicUsize,
     cost_model: CostModel,
     metrics: EngineMetrics,
-    /// Seed source: each query/refinement forks a cheap local generator
-    /// from this counter, so the hot path shares no generator state.
+    /// Seed source: each call that draws forks a cheap local generator
+    /// from this counter, so the hot path shares no generator state (and a
+    /// query that draws nothing writes nothing here; see [`LazyRng`]).
     rng_stream: AtomicU64,
     rng_seed: u64,
     /// Waiting penalty (nanoseconds) charged to the next executed query
@@ -133,7 +136,8 @@ pub struct Database {
     pending_penalty_nanos: AtomicU64,
     /// Construction instant; [`Database::idle_for`] is measured against it.
     epoch: Instant,
-    /// Microseconds since `epoch` of the last query (atomic `Instant`).
+    /// Microseconds since `epoch` of the last query (atomic `Instant`),
+    /// kept to [`ACTIVITY_RESOLUTION_MICROS`].
     last_activity_micros: AtomicU64,
     /// Crash-safe persistence attachment (`None` = in-memory only). A
     /// mutex rather than a field of `&mut self` paths so snapshots can be
@@ -153,6 +157,42 @@ pub struct Database {
     corruption: Option<Arc<CorruptionInjector>>,
 }
 
+/// The selectivity of a query that found `count` of `column_len` values.
+fn selectivity_of(count: u64, column_len: usize) -> f64 {
+    if column_len == 0 {
+        0.0
+    } else {
+        count as f64 / column_len as f64
+    }
+}
+
+/// Resolution of the idle clock's activity stamp ([`Database::idle_for`]):
+/// 20 µs, against idle thresholds of a millisecond and more.
+const ACTIVITY_RESOLUTION_MICROS: u64 = 20;
+
+/// The generator of one engine call, forked off the engine seed
+/// ([`Database::fork_rng`]) on its first draw: a call that never draws — a
+/// resolved select, a boost stopped by its floor — takes no stream index.
+/// Draws stay deterministic for a given seed and call order.
+struct LazyRng<'a> {
+    db: &'a Database,
+    rng: Option<StdRng>,
+}
+
+impl<'a> LazyRng<'a> {
+    fn new(db: &'a Database) -> Self {
+        LazyRng { db, rng: None }
+    }
+}
+
+impl RngCore for LazyRng<'_> {
+    fn next_u64(&mut self) -> u64 {
+        self.rng
+            .get_or_insert_with(|| self.db.fork_rng())
+            .next_u64()
+    }
+}
+
 impl Database {
     /// Creates an empty database with the given configuration and strategy.
     #[must_use]
@@ -168,7 +208,7 @@ impl Database {
         let ranking = RankingModel::new(config.cache_piece_target);
         let online = OnlineTuner::new(config.epoch_length.max(1));
         Database {
-            stats: KernelStatistics::new(config.hot_range_buckets),
+            stats: KernelStatistics::new(),
             ranking,
             online: OrderedMutex::new(LockLevel::Online, "Database::online", online),
             online_index_count: std::sync::atomic::AtomicUsize::new(0),
@@ -252,6 +292,11 @@ impl Database {
     /// the signal the background tuner uses to detect idle time. Idle-time
     /// refinement itself does *not* reset this clock: the tuner's own work
     /// must never make the engine look busy.
+    ///
+    /// The activity stamp has a resolution of 20 µs, far below any useful
+    /// idle threshold: a query within 20 µs of the last stamp does not
+    /// store a new one (so back-to-back queries do not all write the same
+    /// shared line), and the reading may be up to 20 µs too long.
     #[must_use]
     pub fn idle_for(&self) -> Duration {
         let now = self.epoch.elapsed().as_micros() as u64;
@@ -259,10 +304,14 @@ impl Database {
         Duration::from_micros(now.saturating_sub(last))
     }
 
-    /// Stamps "activity happened now" on the idle clock.
+    /// Stamps "activity happened now" on the idle clock, unless the stamp
+    /// is younger than [`ACTIVITY_RESOLUTION_MICROS`].
     fn touch_activity(&self) {
-        self.last_activity_micros
-            .store(self.epoch.elapsed().as_micros() as u64, Ordering::Relaxed);
+        let now = self.epoch.elapsed().as_micros() as u64;
+        let last = self.last_activity_micros.load(Ordering::Relaxed);
+        if now.saturating_sub(last) >= ACTIVITY_RESOLUTION_MICROS {
+            self.last_activity_micros.store(now, Ordering::Relaxed);
+        }
     }
 
     /// Forks a cheap per-call generator off the engine seed: every caller
@@ -596,6 +645,17 @@ impl Database {
             .map_or_else(Vec::new, |c| c.pieces_snapshot())
     }
 
+    /// Latch-usage counters of a column's cracker — shared and exclusive
+    /// selects, refinements, the boost's exclusive acquisitions (all 0 if
+    /// the column has never been cracked).
+    #[must_use]
+    pub fn latch_stats(&self, id: ColumnId) -> holistic_cracking::LatchStats {
+        self.crackers
+            .read()
+            .get(&id)
+            .map_or_else(Default::default, |c| c.latch_stats())
+    }
+
     /// Total crack actions (query-driven plus auxiliary) applied to a column.
     #[must_use]
     pub fn cracks_performed(&self, id: ColumnId) -> u64 {
@@ -869,8 +929,11 @@ impl Database {
         let start = Instant::now();
         let column_len = self.catalog.column(q.column)?.len();
         if self.is_unhealthy(q.column) {
-            return self.execute_degraded(q, column_len, start);
+            return self.execute_degraded(q, column_len, start, true);
         }
+        // The cracking strategies record the query's statistics themselves
+        // (their hot-range check reads them); set once they have.
+        let mut recorded = false;
         let contained = containment::contain(|| {
             self.corruption_tick(q.column);
             let dispatched = match self.strategy {
@@ -878,8 +941,8 @@ impl Database {
                 IndexingStrategy::Offline | IndexingStrategy::Online => {
                     self.exec_indexed_or_scan(q)
                 }
-                IndexingStrategy::Adaptive => self.exec_crack(q, false),
-                IndexingStrategy::Holistic => self.exec_crack(q, true),
+                IndexingStrategy::Adaptive => self.exec_crack(q, column_len, false, &mut recorded),
+                IndexingStrategy::Holistic => self.exec_crack(q, column_len, true, &mut recorded),
             }?;
             self.paranoia_check(q.column)?;
             Ok(dispatched)
@@ -888,12 +951,12 @@ impl Database {
             Ok(Ok(dispatched)) => dispatched,
             Ok(Err(HolisticError::Integrity { column, reason })) => {
                 self.quarantine_column(column, &reason);
-                return self.execute_degraded(q, column_len, start);
+                return self.execute_degraded(q, column_len, start, !recorded);
             }
             Ok(Err(e)) => return Err(e),
             Err(panic_reason) => {
                 self.quarantine_column(q.column, &panic_reason);
-                return self.execute_degraded(q, column_len, start);
+                return self.execute_degraded(q, column_len, start, !recorded);
             }
         };
         let mut latency = start.elapsed() + self.take_pending_penalty();
@@ -901,12 +964,10 @@ impl Database {
         // Continuous statistics (all strategies keep them so that switching
         // to holistic mid-flight has knowledge to work with; the overhead is
         // a few counters per query).
-        let selectivity = if column_len == 0 {
-            0.0
-        } else {
-            count as f64 / column_len as f64
-        };
-        self.stats.record_query(q.column, q.lo, q.hi, selectivity);
+        let selectivity = selectivity_of(count, column_len);
+        if !recorded {
+            self.stats.record_query(q.column, q.lo, q.hi, selectivity);
+        }
 
         if self.strategy == IndexingStrategy::Online {
             latency += self.online_record_and_tune(q, column_len, selectivity, path);
@@ -936,22 +997,22 @@ impl Database {
     /// Answers a query on a quarantined (or rebuilding) column through the
     /// base-storage scan path. Corruption only ever touches *learned*
     /// state, so the scan answer is always correct; the query is recorded
-    /// as a degraded scan in the metrics.
+    /// as a degraded scan in the metrics. `record` is false when the
+    /// failed attempt already recorded the query's statistics.
     fn execute_degraded(
         &self,
         q: &Query,
         column_len: usize,
         start: Instant,
+        record: bool,
     ) -> EngineResult<QueryResult> {
         let (path, count, sum, values) = self.exec_scan(q)?;
         self.metrics.record_degraded_scan();
         let latency = start.elapsed() + self.take_pending_penalty();
-        let selectivity = if column_len == 0 {
-            0.0
-        } else {
-            count as f64 / column_len as f64
-        };
-        self.stats.record_query(q.column, q.lo, q.hi, selectivity);
+        if record {
+            let selectivity = selectivity_of(count, column_len);
+            self.stats.record_query(q.column, q.lo, q.hi, selectivity);
+        }
         let result = QueryResult {
             count,
             sum,
@@ -1134,17 +1195,30 @@ impl Database {
         )
     }
 
+    /// The adaptive and holistic select. Records the query's statistics
+    /// itself and sets `recorded`: the hot-range check of a holistic query
+    /// reads the hits that recording returns.
     fn exec_crack(
         &self,
         q: &Query,
+        column_len: usize,
         holistic: bool,
+        recorded: &mut bool,
     ) -> EngineResult<(AccessPath, u64, i128, Option<Vec<Value>>)> {
         // A full index (e.g. built during a-priori idle time) trumps cracking.
         if self.full_indexes.contains_key(&q.column) {
-            return self.exec_index(q);
+            let dispatched = self.exec_index(q)?;
+            self.stats.record_query(
+                q.column,
+                q.lo,
+                q.hi,
+                selectivity_of(dispatched.1, column_len),
+            );
+            *recorded = true;
+            return Ok(dispatched);
         }
         let cracker = self.cracker_for(q.column)?;
-        let mut rng = self.fork_rng();
+        let mut rng = LazyRng::new(self);
         let outcome = cracker.select_with_policy(
             q.lo,
             q.hi,
@@ -1152,38 +1226,25 @@ impl Database {
             self.config.crack_policy,
             &mut rng,
         );
-
         self.metrics.record_aggregate_cache(outcome.cache);
+        let hits = self.stats.record_query(
+            q.column,
+            q.lo,
+            q.hi,
+            selectivity_of(outcome.count, column_len),
+        );
+        *recorded = true;
         let mut dispatches = outcome.dispatches;
         let mut piece_shape = (outcome.piece_count, outcome.avg_piece_len);
-        if holistic && !q.is_empty_range() {
-            // The "No Time" case: no idle time may ever appear, but a hot
-            // value range earns extra refinement right now, during query
-            // processing, paid for by this query.
-            let hot = self.stats.is_hot_range(
+        if holistic && hits >= self.config.hot_range_query_threshold {
+            self.boost_hot_ranges(
                 q.column,
-                q.lo,
-                q.hi,
-                self.config.hot_range_query_threshold,
-            );
-            if hot {
-                // The boost re-cracks pieces the answer was just read from,
-                // recomputing their sums: check them first, or the check
-                // after the query would find the evidence overwritten.
-                self.paranoia_check(q.column)?;
-                let mut applied = 0;
-                for _ in 0..self.config.boost_cracks_per_query {
-                    let boost = cracker.refine_in_range(q.lo, q.hi, &mut rng);
-                    dispatches.add(boost.dispatches);
-                    piece_shape = (boost.piece_count, boost.avg_piece_len);
-                    if boost.split {
-                        applied += 1;
-                    }
-                }
-                if applied > 0 {
-                    self.stats.record_auxiliary_actions(q.column, applied);
-                }
-            }
+                &cracker,
+                &[(q.lo, q.hi)],
+                &mut rng,
+                &mut dispatches,
+                &mut piece_shape,
+            )?;
         }
         self.metrics.add_kernel_dispatches(dispatches);
         self.stats
@@ -1194,6 +1255,42 @@ impl Database {
             outcome.sum,
             outcome.values,
         ))
+    }
+
+    /// The "No Time" case, shared by the single and the batch path: no
+    /// idle time may ever appear, but a hot value range earns extra
+    /// refinement right now, paid for by the queries that found it hot —
+    /// `boost_cracks_per_query` random pivots per range, each skipped
+    /// unless it lands in an unsorted piece above `cache_piece_target`
+    /// ([`ConcurrentCrackerColumn::refine_in_ranges`]). A converged range
+    /// therefore costs a shared-latch check and never an exclusive latch.
+    /// Adds the boost's dispatches and leaves the post-boost shape in
+    /// `piece_shape`.
+    fn boost_hot_ranges(
+        &self,
+        column: ColumnId,
+        cracker: &ConcurrentCrackerColumn,
+        ranges: &[(Value, Value)],
+        rng: &mut LazyRng<'_>,
+        dispatches: &mut KernelDispatches,
+        piece_shape: &mut (usize, f64),
+    ) -> EngineResult<()> {
+        // A boost re-cracks pieces the answers were just read from,
+        // recomputing their sums: check them first, or the check after the
+        // query would find the evidence overwritten.
+        self.paranoia_check(column)?;
+        let boost = cracker.refine_in_ranges(
+            ranges,
+            self.config.boost_cracks_per_query,
+            self.config.cache_piece_target,
+            rng,
+        );
+        if boost.splits > 0 {
+            self.stats.record_auxiliary_actions(column, boost.splits);
+        }
+        dispatches.add(boost.dispatches);
+        *piece_shape = (boost.piece_count, boost.avg_piece_len);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1314,11 +1411,7 @@ impl Database {
                         };
                         let mut latency = q_start.elapsed();
                         if self.strategy == IndexingStrategy::Online {
-                            let selectivity = if column_len == 0 {
-                                0.0
-                            } else {
-                                count as f64 / column_len as f64
-                            };
+                            let selectivity = selectivity_of(count, column_len);
                             latency +=
                                 self.online_record_and_tune(q, column_len, selectivity, path);
                         }
@@ -1334,7 +1427,7 @@ impl Database {
                     // group.
                     let predicates =
                         Self::group_predicates(queries, indexes, column_len, results.as_slice());
-                    self.stats.record_queries(*column, &predicates);
+                    self.stats.record_queries(*column, &predicates, |_, _| {});
                 }
                 self.paranoia_check(*column)
             });
@@ -1400,12 +1493,7 @@ impl Database {
             .filter_map(|&i| {
                 let q = &queries[i];
                 let count = results[i].as_ref()?.count;
-                let selectivity = if column_len == 0 {
-                    0.0
-                } else {
-                    count as f64 / column_len as f64
-                };
-                Some((q.lo, q.hi, selectivity))
+                Some((q.lo, q.hi, selectivity_of(count, column_len)))
             })
             .collect()
     }
@@ -1436,14 +1524,14 @@ impl Database {
             self.metrics.record_degraded_scan();
         }
         let predicates = Self::group_predicates(queries, indexes, column_len, results);
-        self.stats.record_queries(column, &predicates);
+        self.stats.record_queries(column, &predicates, |_, _| {});
         Ok(())
     }
 
     /// Executes one column group of a batch through the batched cracking
     /// path: one latch acquisition for the multi-pivot select, bulk
-    /// statistics recording, then one more latch acquisition for all of the
-    /// group's holistic hot-range boosts together.
+    /// statistics recording, then one boost pass for all of the group's
+    /// hot ranges together.
     fn exec_crack_batch(
         &self,
         queries: &[Query],
@@ -1454,7 +1542,7 @@ impl Database {
     ) -> EngineResult<()> {
         let group_start = Instant::now();
         let cracker = self.cracker_for(column)?;
-        let mut rng = self.fork_rng();
+        let mut rng = LazyRng::new(self);
         let batch: Vec<(Value, Value, bool)> = indexes
             .iter()
             .map(|&i| {
@@ -1478,47 +1566,30 @@ impl Database {
                 latency: per_query,
             });
         }
-        // Record the group's predicates *before* the hot-range checks, so a
-        // burst of queries on one range inside a single batch can trigger
-        // boosting just like the same burst issued sequentially (where each
-        // query sees its predecessors' records). Within one batch the check
-        // is slightly more eager than sequential — every query sees the
-        // whole batch's records, including its own.
+        // Record the group's predicates before the hot-range checks, as
+        // the single path does: query `i` of the group sees its
+        // predecessors' records and its own, so a burst on one range
+        // inside a single batch boosts like the same burst issued one by
+        // one.
         let predicates = Self::group_predicates(queries, indexes, column_len, results);
-        self.stats.record_queries(column, &predicates);
-        if self.strategy == IndexingStrategy::Holistic {
-            // The "No Time" case: hot value ranges earn extra refinement
-            // right now, paid for by this batch — all boosts of the group
-            // under a single latch acquisition.
-            let hot_ranges: Vec<(Value, Value)> = indexes
-                .iter()
-                .map(|&i| &queries[i])
-                .filter(|q| {
-                    !q.is_empty_range()
-                        && self.stats.is_hot_range(
-                            q.column,
-                            q.lo,
-                            q.hi,
-                            self.config.hot_range_query_threshold,
-                        )
-                })
-                .map(|q| (q.lo, q.hi))
-                .collect();
-            if !hot_ranges.is_empty() {
-                // As in `exec_crack`: validate what the answers were read
-                // from before the boost overwrites it.
-                self.paranoia_check(column)?;
-                let boost = cracker.refine_in_ranges(
-                    &hot_ranges,
-                    self.config.boost_cracks_per_query,
-                    &mut rng,
-                );
-                dispatches.add(boost.dispatches);
-                piece_shape = (boost.piece_count, boost.avg_piece_len);
-                if boost.splits > 0 {
-                    self.stats.record_auxiliary_actions(column, boost.splits);
-                }
+        let boosting = self.strategy == IndexingStrategy::Holistic;
+        let threshold = self.config.hot_range_query_threshold;
+        let mut hot_ranges = Vec::new();
+        self.stats.record_queries(column, &predicates, |i, hits| {
+            if boosting && hits >= threshold {
+                let (lo, hi, _) = predicates[i];
+                hot_ranges.push((lo, hi));
             }
+        });
+        if !hot_ranges.is_empty() {
+            self.boost_hot_ranges(
+                column,
+                &cracker,
+                &hot_ranges,
+                &mut rng,
+                &mut dispatches,
+                &mut piece_shape,
+            )?;
         }
         self.metrics.add_kernel_dispatches(dispatches);
         self.stats
@@ -2288,6 +2359,53 @@ mod tests {
         assert_eq!(db.metrics().kernel_dispatches().total(), 1);
         assert_eq!(db.stats().column(col).unwrap().queries, 32);
         assert_eq!(db.observed_workload().total_queries(), 32);
+    }
+
+    #[test]
+    fn a_repeated_predicate_converges_under_defaults() {
+        // One 1 % predicate replayed 1,000 times under the default
+        // configuration, one query at a time and as batches of one: the
+        // boost refines the range while its pieces are above the cache
+        // floor, then stops. The last 900 replays split nothing and take
+        // no exclusive latch, for the boost or for the select.
+        const ROWS: Value = 1 << 20;
+        for batched in [false, true] {
+            let mut db = Database::new(
+                HolisticConfig::default().with_paranoia(false),
+                IndexingStrategy::Holistic,
+            );
+            let values = (0..ROWS).map(|i| (i * 48_271) % ROWS).collect();
+            let t = db.create_table("t", vec![("v", values)]).unwrap();
+            let col = db.column_id(t, "v").unwrap();
+            let q = Query::range(col, ROWS / 3, ROWS / 3 + ROWS / 100);
+            let replay = |times: usize| {
+                for _ in 0..times {
+                    let count = if batched {
+                        db.execute_batch(std::slice::from_ref(&q)).unwrap()[0].count
+                    } else {
+                        db.execute(&q).unwrap().count
+                    };
+                    assert_eq!(count, (ROWS / 100) as u64);
+                }
+            };
+            let boost_state = || {
+                let latch = db.latch_stats(col);
+                (
+                    db.stats().column(col).unwrap().auxiliary_actions,
+                    latch.boost_exclusive,
+                    latch.exclusive_selects,
+                )
+            };
+            replay(100);
+            let settled = boost_state();
+            assert!(settled.0 > 0, "batched={batched}: the boost never split");
+            replay(900);
+            assert_eq!(
+                boost_state(),
+                settled,
+                "batched={batched}: (boost splits, boost exclusive, exclusive selects) moved"
+            );
+        }
     }
 
     #[test]

@@ -80,8 +80,8 @@ impl RankingModel {
     ///
     /// Reads only the statistics' atomic counters
     /// ([`KernelStatistics::ranking_rows`]) — the idle loop calls this once
-    /// per refinement action, so it must not clone histograms or contend
-    /// with concurrent query recording.
+    /// per refinement action, so it must not copy per-column state or
+    /// contend with concurrent query recording.
     #[must_use]
     pub fn rank(&self, stats: &KernelStatistics) -> Vec<TuningCandidate> {
         let total_queries = stats.total_queries();
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn rank_orders_by_benefit_and_drops_finished_columns() {
         let m = RankingModel::new(256);
-        let stats = KernelStatistics::new(8);
+        let stats = KernelStatistics::new();
         stats.register_column(col(0), 100_000);
         stats.register_column(col(1), 100_000);
         stats.register_column(col(2), 100_000);
@@ -178,11 +178,11 @@ mod tests {
     #[test]
     fn choose_next_is_none_when_everything_is_refined() {
         let m = RankingModel::new(1 << 20);
-        let stats = KernelStatistics::new(8);
+        let stats = KernelStatistics::new();
         stats.register_column(col(0), 1000);
         stats.record_refinement(col(0), 100, 10.0);
         assert_eq!(m.choose_next(&stats), None);
         // Empty statistics: nothing to do either.
-        assert_eq!(m.choose_next(&KernelStatistics::new(8)), None);
+        assert_eq!(m.choose_next(&KernelStatistics::new()), None);
     }
 }

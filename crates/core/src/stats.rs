@@ -11,17 +11,21 @@
 //! query processing.*
 //!
 //! Because statistics are recorded on the hot query path, every recording
-//! method takes `&self`: plain counters are per-column atomics, and the
-//! per-column predicate histogram sits behind its own small mutex — the
-//! only lock a query takes here. The observed [`WorkloadSummary`] the
-//! advisor consumes is assembled on read from those per-column counters
-//! and the histogram's predicate bounds. Readers receive
+//! method takes `&self` and every per-column statistic is a fixed-size
+//! atomic: counters, the predicate bounds, and the hot-range detector — a
+//! count-min sketch of the exact predicates (two rows of
+//! [`SKETCH_WIDTH`] counters) that halves itself every [`SKETCH_WIDTH`]
+//! queries on the column, so it counts the current workload, not all of
+//! history. Recording a query takes no lock beyond the statistics map's
+//! read guard, and returns the query's predicate hits in the same step.
+//! The observed [`WorkloadSummary`] the advisor consumes is assembled on
+//! read from the per-column counters and bounds. Readers receive
 //! [`ColumnActivity`] snapshots.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
-use holistic_sync::{LockLevel, OrderedMutex, OrderedRwLock};
+use holistic_sync::{LockLevel, OrderedRwLock};
 
 use holistic_offline::{ColumnWorkload, WorkloadSummary};
 use holistic_storage::{ColumnId, Value};
@@ -34,6 +38,30 @@ const SELECTIVITY_ONE: f64 = 4_294_967_296.0;
 /// `selectivity` in the fixed point of [`SELECTIVITY_ONE`].
 fn fixed_selectivity(selectivity: f64) -> u64 {
     (selectivity.clamp(0.0, 1.0) * SELECTIVITY_ONE) as u64
+}
+
+/// Counters per row of a column's predicate sketch, and the number of the
+/// column's queries after which every counter is halved. With one period
+/// per width, uniform fresh predicates add about one hit per counter and
+/// period, so a counter settles near two and a never-seen predicate reads
+/// far below any useful threshold; a predicate repeated `k` times per
+/// period settles near `2k`.
+pub const SKETCH_WIDTH: usize = 256;
+
+/// Hash rows of the predicate sketch: a predicate's estimate is its
+/// smallest counter, so a false "hot" needs collisions in every row.
+const SKETCH_ROWS: usize = 2;
+
+/// The sketch slot of `(lo, hi)` in each row (a SplitMix64 finalizer over
+/// both bounds; the rows use disjoint halves of the hash).
+fn sketch_slots(lo: Value, hi: Value) -> [usize; SKETCH_ROWS] {
+    let mut h = (lo as u64) ^ (hi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^= h >> 31;
+    [h as usize % SKETCH_WIDTH, (h >> 32) as usize % SKETCH_WIDTH]
 }
 
 /// Snapshot of one column's activity statistics.
@@ -54,108 +82,9 @@ pub struct ColumnActivity {
     pub predicate_min: Option<Value>,
     /// Domain seen in predicates: largest upper bound.
     pub predicate_max: Option<Value>,
-    /// Histogram of predicate hits over the predicate domain, used to find
-    /// hot ranges. Bucket `i` counts queries whose range overlapped bucket
-    /// `i` of `[predicate_min, predicate_max)`.
-    hot_buckets: Vec<u64>,
 }
 
-impl ColumnActivity {
-    /// Number of queries whose predicate overlapped the bucket containing
-    /// the value range `[lo, hi)` (maximum over the overlapped buckets).
-    /// Ranges disjoint from the observed predicate domain return 0.
-    #[must_use]
-    pub fn hot_hits(&self, lo: Value, hi: Value) -> u64 {
-        hot_hits_in(
-            self.predicate_min,
-            self.predicate_max,
-            &self.hot_buckets,
-            lo,
-            hi,
-        )
-    }
-}
-
-/// Shared hot-hits computation over a predicate histogram.
-///
-/// A range entirely outside the observed predicate domain (`lo >= pmax` or
-/// `hi <= pmin`) has never been queried and returns 0 — clamping it into an
-/// edge bucket would let brand-new cold ranges inherit the edge bucket's hit
-/// count and be misclassified as hot.
-fn hot_hits_in(
-    pmin: Option<Value>,
-    pmax: Option<Value>,
-    buckets: &[u64],
-    lo: Value,
-    hi: Value,
-) -> u64 {
-    let (Some(pmin), Some(pmax)) = (pmin, pmax) else {
-        return 0;
-    };
-    if pmax <= pmin || hi <= lo {
-        return 0;
-    }
-    if lo >= pmax || hi <= pmin {
-        return 0;
-    }
-    let span = (pmax - pmin) as f64;
-    let n = buckets.len();
-    let to_bucket = |v: Value| -> usize {
-        let rel = ((v - pmin) as f64 / span * n as f64).floor() as isize;
-        rel.clamp(0, n as isize - 1) as usize
-    };
-    let b_lo = to_bucket(lo.max(pmin));
-    let b_hi = to_bucket((hi - 1).min(pmax));
-    buckets[b_lo..=b_hi].iter().copied().max().unwrap_or(0)
-}
-
-/// The predicate-domain histogram of one column (mutex-protected part).
-#[derive(Debug, Clone)]
-struct PredicateHistogram {
-    predicate_min: Option<Value>,
-    predicate_max: Option<Value>,
-    hot_buckets: Vec<u64>,
-}
-
-impl PredicateHistogram {
-    fn new(buckets: usize) -> Self {
-        PredicateHistogram {
-            predicate_min: None,
-            predicate_max: None,
-            hot_buckets: vec![0; buckets.max(1)],
-        }
-    }
-
-    fn record_predicate(&mut self, lo: Value, hi: Value) {
-        // Grow the tracked predicate domain first, then bump the buckets the
-        // range overlaps. Growing the domain does not rescale old buckets —
-        // hot-range detection only needs to be approximately right and the
-        // domain stabilizes after the first handful of queries.
-        self.predicate_min = Some(self.predicate_min.map_or(lo, |m| m.min(lo)));
-        self.predicate_max = Some(self.predicate_max.map_or(hi, |m| m.max(hi)));
-        let (Some(pmin), Some(pmax)) = (self.predicate_min, self.predicate_max) else {
-            // Unreachable (both were just set), but a histogram hiccup must
-            // never abort query execution — skip the bucket update instead.
-            return;
-        };
-        if pmax <= pmin || hi <= lo {
-            return;
-        }
-        let span = (pmax - pmin) as f64;
-        let n = self.hot_buckets.len();
-        let to_bucket = |v: Value| -> usize {
-            let rel = ((v - pmin) as f64 / span * n as f64).floor() as isize;
-            rel.clamp(0, n as isize - 1) as usize
-        };
-        let b_lo = to_bucket(lo);
-        let b_hi = to_bucket(hi - 1);
-        for b in &mut self.hot_buckets[b_lo..=b_hi] {
-            *b += 1;
-        }
-    }
-}
-
-/// One column's live statistics: atomic counters plus the histogram mutex.
+/// One column's live statistics, all fixed-size atomics.
 #[derive(Debug)]
 struct ColumnStats {
     queries: AtomicU64,
@@ -167,11 +96,16 @@ struct ColumnStats {
     /// `f64` bits of the average piece length.
     avg_piece_len: AtomicU64,
     column_len: AtomicUsize,
-    predicate: OrderedMutex<PredicateHistogram>,
+    /// Smallest predicate lower bound seen (`i64::MAX` before any query).
+    predicate_min: AtomicI64,
+    /// Largest predicate upper bound seen (`i64::MIN` before any query).
+    predicate_max: AtomicI64,
+    /// The count-min sketch of exact predicates (see [`SKETCH_WIDTH`]).
+    sketch: [[AtomicU32; SKETCH_WIDTH]; SKETCH_ROWS],
 }
 
 impl ColumnStats {
-    fn new(buckets: usize) -> Self {
+    fn new() -> Self {
         ColumnStats {
             queries: AtomicU64::new(0),
             selectivity_sum: AtomicU64::new(0),
@@ -179,20 +113,76 @@ impl ColumnStats {
             piece_count: AtomicUsize::new(1),
             avg_piece_len: AtomicU64::new(0.0_f64.to_bits()),
             column_len: AtomicUsize::new(0),
-            predicate: OrderedMutex::new(
-                LockLevel::Histogram,
-                "ColumnStats::predicate",
-                PredicateHistogram::new(buckets),
-            ),
+            predicate_min: AtomicI64::new(i64::MAX),
+            predicate_max: AtomicI64::new(i64::MIN),
+            sketch: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU32::new(0))),
         }
     }
 
     /// Records `n` queries whose fixed-point selectivities sum to
-    /// `selectivity_sum`.
-    fn add_queries(&self, n: u64, selectivity_sum: u64) {
-        self.queries.fetch_add(n, Ordering::Relaxed);
+    /// `selectivity_sum`; returns the query count before them.
+    fn add_queries(&self, n: u64, selectivity_sum: u64) -> u64 {
         self.selectivity_sum
             .fetch_add(selectivity_sum, Ordering::Relaxed);
+        self.queries.fetch_add(n, Ordering::Relaxed)
+    }
+
+    /// Records the predicate `[lo, hi)` of the column's `nth` query
+    /// (1-based) and returns its hits: the sketch's estimate of how many
+    /// recent queries, this one included, had exactly this predicate (0
+    /// for an empty range). The recording thread of every
+    /// [`SKETCH_WIDTH`]-th query halves the sketch afterwards.
+    fn record_predicate(&self, lo: Value, hi: Value, nth: u64) -> u64 {
+        // Load first: a bound that does not move writes no shared line.
+        if lo < self.predicate_min.load(Ordering::Relaxed) {
+            self.predicate_min.fetch_min(lo, Ordering::Relaxed);
+        }
+        if hi > self.predicate_max.load(Ordering::Relaxed) {
+            self.predicate_max.fetch_max(hi, Ordering::Relaxed);
+        }
+        let hits = if hi > lo {
+            self.sketch
+                .iter()
+                .zip(sketch_slots(lo, hi))
+                .map(|(row, slot)| row[slot].fetch_add(1, Ordering::Relaxed).saturating_add(1))
+                .min()
+                .map_or(0, u64::from)
+        } else {
+            0
+        };
+        if nth.is_multiple_of(SKETCH_WIDTH as u64) {
+            for counter in self.sketch.iter().flatten() {
+                let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
+                    (c > 0).then_some(c / 2)
+                });
+            }
+        }
+        hits
+    }
+
+    /// The sketch's current estimate for the predicate `[lo, hi)`.
+    fn predicate_hits(&self, lo: Value, hi: Value) -> u64 {
+        if hi <= lo {
+            return 0;
+        }
+        self.sketch
+            .iter()
+            .zip(sketch_slots(lo, hi))
+            .map(|(row, slot)| row[slot].load(Ordering::Relaxed))
+            .min()
+            .map_or(0, u64::from)
+    }
+
+    /// The predicate bounds seen so far, `None` while the column has seen
+    /// no query.
+    fn predicate_bounds(&self, queries: u64) -> (Option<Value>, Option<Value>) {
+        if queries == 0 {
+            return (None, None);
+        }
+        (
+            Some(self.predicate_min.load(Ordering::Relaxed)),
+            Some(self.predicate_max.load(Ordering::Relaxed)),
+        )
     }
 
     /// The column's entry of the observed workload summary, or `None`
@@ -203,26 +193,26 @@ impl ColumnStats {
             return None;
         }
         let selectivity_sum = self.selectivity_sum.load(Ordering::Relaxed) as f64 / SELECTIVITY_ONE;
-        let predicate = self.predicate.lock();
+        let (min_bound, max_bound) = self.predicate_bounds(queries);
         Some(ColumnWorkload {
             queries,
             avg_selectivity: (selectivity_sum / queries as f64).clamp(0.0, 1.0),
-            min_bound: predicate.predicate_min,
-            max_bound: predicate.predicate_max,
+            min_bound,
+            max_bound,
         })
     }
 
     fn snapshot(&self) -> ColumnActivity {
-        let predicate = self.predicate.lock().clone();
+        let queries = self.queries.load(Ordering::Relaxed);
+        let (predicate_min, predicate_max) = self.predicate_bounds(queries);
         ColumnActivity {
-            queries: self.queries.load(Ordering::Relaxed),
+            queries,
             auxiliary_actions: self.auxiliary_actions.load(Ordering::Relaxed),
             piece_count: self.piece_count.load(Ordering::Relaxed),
             avg_piece_len: f64::from_bits(self.avg_piece_len.load(Ordering::Relaxed)),
             column_len: self.column_len.load(Ordering::Relaxed),
-            predicate_min: predicate.predicate_min,
-            predicate_max: predicate.predicate_max,
-            hot_buckets: predicate.hot_buckets,
+            predicate_min,
+            predicate_max,
         }
     }
 }
@@ -235,14 +225,18 @@ impl ColumnStats {
 pub struct KernelStatistics {
     columns: OrderedRwLock<BTreeMap<ColumnId, ColumnStats>>,
     total_queries: AtomicU64,
-    hot_range_buckets: usize,
+}
+
+impl Default for KernelStatistics {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl KernelStatistics {
-    /// Creates an empty statistics store with the given number of hot-range
-    /// buckets per column.
+    /// Creates an empty statistics store.
     #[must_use]
-    pub fn new(hot_range_buckets: usize) -> Self {
+    pub fn new() -> Self {
         KernelStatistics {
             columns: OrderedRwLock::new(
                 LockLevel::StatsMap,
@@ -250,14 +244,12 @@ impl KernelStatistics {
                 BTreeMap::new(),
             ),
             total_queries: AtomicU64::new(0),
-            hot_range_buckets: hot_range_buckets.max(1),
         }
     }
 
     /// Runs `f` on the [`ColumnStats`] entry for `id` (created on first
     /// use), borrowed under the map's read guard — no reference-count
-    /// traffic on the entry. `f` may take the entry's histogram lock
-    /// (`StatsMap` → `Histogram` is in hierarchy order).
+    /// traffic on the entry.
     fn with_entry<T>(&self, id: ColumnId, f: impl FnOnce(&ColumnStats) -> T) -> T {
         {
             let map = self.columns.read();
@@ -266,9 +258,7 @@ impl KernelStatistics {
             }
         }
         let mut map = self.columns.write();
-        f(map
-            .entry(id)
-            .or_insert_with(|| ColumnStats::new(self.hot_range_buckets)))
+        f(map.entry(id).or_insert_with(ColumnStats::new))
     }
 
     /// Registers a column with its size (idempotent; updates the size).
@@ -304,23 +294,36 @@ impl KernelStatistics {
         }
     }
 
-    /// Records an executed query and its selectivity.
-    pub fn record_query(&self, id: ColumnId, lo: Value, hi: Value, selectivity: f64) {
-        self.with_entry(id, |entry| {
-            entry.add_queries(1, fixed_selectivity(selectivity));
-            entry.predicate.lock().record_predicate(lo, hi);
+    /// Records an executed query and its selectivity, and returns its
+    /// predicate hits: how many recent queries on the column, this one
+    /// included, had exactly the predicate `[lo, hi)` — a count-min
+    /// estimate that decays (see [`SKETCH_WIDTH`]), so it may overcount
+    /// by collisions but never undercounts within a decay period. The
+    /// hot-range boost compares it with
+    /// [`HolisticConfig::hot_range_query_threshold`](crate::HolisticConfig::hot_range_query_threshold).
+    pub fn record_query(&self, id: ColumnId, lo: Value, hi: Value, selectivity: f64) -> u64 {
+        let hits = self.with_entry(id, |entry| {
+            let nth = entry.add_queries(1, fixed_selectivity(selectivity)) + 1;
+            entry.record_predicate(lo, hi, nth)
         });
         self.total_queries.fetch_add(1, Ordering::Relaxed);
+        hits
     }
 
     /// Records a whole batch of executed queries on one column: the bulk
-    /// counterpart of [`KernelStatistics::record_query`]. One entry lookup
-    /// and one histogram-lock acquisition cover the entire batch, so a
-    /// batched executor does not pay the per-query lock traffic `n`
-    /// separate calls would.
+    /// counterpart of [`KernelStatistics::record_query`], with one entry
+    /// lookup and one counter update for the entire batch. Calls
+    /// `on_hits(i, hits)` with each query's predicate hits, in order:
+    /// query `i` counts its predecessors in the batch, as if the batch
+    /// had run one by one.
     ///
     /// `predicates` holds one `(lo, hi, selectivity)` triple per query.
-    pub fn record_queries(&self, id: ColumnId, predicates: &[(Value, Value, f64)]) {
+    pub fn record_queries(
+        &self,
+        id: ColumnId,
+        predicates: &[(Value, Value, f64)],
+        mut on_hits: impl FnMut(usize, u64),
+    ) {
         if predicates.is_empty() {
             return;
         }
@@ -329,10 +332,9 @@ impl KernelStatistics {
                 .iter()
                 .map(|&(_, _, s)| fixed_selectivity(s))
                 .sum();
-            entry.add_queries(predicates.len() as u64, selectivity_sum);
-            let mut histogram = entry.predicate.lock();
-            for &(lo, hi, _) in predicates {
-                histogram.record_predicate(lo, hi);
+            let before = entry.add_queries(predicates.len() as u64, selectivity_sum);
+            for (i, (&(lo, hi, _), nth)) in predicates.iter().zip(before + 1..).enumerate() {
+                on_hits(i, entry.record_predicate(lo, hi, nth));
             }
         });
         self.total_queries
@@ -382,9 +384,7 @@ impl KernelStatistics {
 
     /// The per-column inputs of the ranking model, read from the atomic
     /// counters only: `(column, queries, avg_piece_len, column_len)`.
-    /// Unlike [`KernelStatistics::columns`] this takes no per-column
-    /// predicate locks and clones no histograms, so the idle loop can call
-    /// it once per refinement action without contending with queries.
+    /// The idle loop calls it once per refinement action.
     #[must_use]
     pub fn ranking_rows(&self) -> Vec<(ColumnId, u64, f64, usize)> {
         self.columns
@@ -433,22 +433,15 @@ impl KernelStatistics {
         summary
     }
 
-    /// Whether the value range `[lo, hi)` of column `id` is hot: at least
-    /// `threshold` queries have already cracked this region.
+    /// The current predicate hits of `[lo, hi)` on column `id` (see
+    /// [`KernelStatistics::record_query`]), read without recording
+    /// anything. Unknown columns and empty ranges read 0.
     #[must_use]
-    pub fn is_hot_range(&self, id: ColumnId, lo: Value, hi: Value, threshold: u64) -> bool {
-        let map = self.columns.read();
-        let Some(entry) = map.get(&id) else {
-            return false;
-        };
-        let predicate = entry.predicate.lock();
-        hot_hits_in(
-            predicate.predicate_min,
-            predicate.predicate_max,
-            &predicate.hot_buckets,
-            lo,
-            hi,
-        ) >= threshold
+    pub fn predicate_hits(&self, id: ColumnId, lo: Value, hi: Value) -> u64 {
+        self.columns
+            .read()
+            .get(&id)
+            .map_or(0, |entry| entry.predicate_hits(lo, hi))
     }
 }
 
@@ -463,7 +456,7 @@ mod tests {
 
     #[test]
     fn register_and_record_queries() {
-        let s = KernelStatistics::new(16);
+        let s = KernelStatistics::new();
         s.register_column(col(0), 1000);
         assert_eq!(s.column(col(0)).unwrap().column_len, 1000);
         assert_eq!(s.column(col(0)).unwrap().avg_piece_len, 1000.0);
@@ -478,26 +471,29 @@ mod tests {
 
     #[test]
     fn bulk_recording_matches_per_query_recording() {
-        let bulk = KernelStatistics::new(16);
-        let single = KernelStatistics::new(16);
+        let bulk = KernelStatistics::new();
+        let single = KernelStatistics::new();
         bulk.register_column(col(0), 1000);
         single.register_column(col(0), 1000);
         let preds = [(10i64, 20i64, 0.01), (15, 25, 0.01), (500, 600, 0.1)];
-        bulk.record_queries(col(0), &preds);
-        for &(lo, hi, sel) in &preds {
-            single.record_query(col(0), lo, hi, sel);
-        }
+        let mut bulk_hits = Vec::new();
+        bulk.record_queries(col(0), &preds, |_, hits| bulk_hits.push(hits));
+        let single_hits: Vec<u64> = preds
+            .iter()
+            .map(|&(lo, hi, sel)| single.record_query(col(0), lo, hi, sel))
+            .collect();
+        assert_eq!(bulk_hits, single_hits);
         assert_eq!(bulk.total_queries(), single.total_queries());
         assert_eq!(bulk.column(col(0)), single.column(col(0)));
         assert_eq!(bulk.summary(), single.summary());
         // Empty batches are free.
-        bulk.record_queries(col(0), &[]);
+        bulk.record_queries(col(0), &[], |_, _| panic!("no query, no hits"));
         assert_eq!(bulk.total_queries(), 3);
     }
 
     #[test]
     fn summary_is_assembled_from_the_column_counters() {
-        let s = KernelStatistics::new(16);
+        let s = KernelStatistics::new();
         s.register_column(col(0), 1000);
         s.register_column(col(2), 1000);
         s.record_query(col(0), 100, 200, 0.01);
@@ -523,7 +519,7 @@ mod tests {
 
     #[test]
     fn refinement_updates_piece_statistics() {
-        let s = KernelStatistics::new(16);
+        let s = KernelStatistics::new();
         s.register_column(col(0), 1000);
         s.record_refinement(col(0), 8, 125.0);
         s.record_auxiliary_actions(col(0), 5);
@@ -535,52 +531,104 @@ mod tests {
 
     #[test]
     fn hot_range_detection_requires_repeated_hits() {
-        let s = KernelStatistics::new(32);
+        let s = KernelStatistics::new();
         s.register_column(col(0), 100_000);
-        // Establish the predicate domain with two far-apart queries.
+        // Two far-apart queries.
         s.record_query(col(0), 0, 100, 0.001);
         s.record_query(col(0), 99_000, 100_000, 0.001);
-        assert!(!s.is_hot_range(col(0), 50_000, 50_100, 3));
-        // Hammer one region.
-        for _ in 0..5 {
-            s.record_query(col(0), 50_000, 50_100, 0.001);
-        }
-        assert!(s.is_hot_range(col(0), 50_000, 50_100, 3));
-        assert!(s.is_hot_range(col(0), 50_010, 50_050, 3));
-        // A region nobody queries stays cold.
-        assert!(!s.is_hot_range(col(0), 10_000, 10_100, 3));
+        assert!(s.predicate_hits(col(0), 50_000, 50_100) < 3);
+        // Hammer one range: each recording returns the hits so far.
+        let hits: Vec<u64> = (0..5)
+            .map(|_| s.record_query(col(0), 50_000, 50_100, 0.001))
+            .collect();
+        assert_eq!(hits, [1, 2, 3, 4, 5]);
+        assert!(s.predicate_hits(col(0), 50_000, 50_100) >= 3);
+        // A range nobody queries stays cold.
+        assert!(s.predicate_hits(col(0), 10_000, 10_100) < 3);
         // Unknown columns are never hot.
-        assert!(!s.is_hot_range(col(9), 0, 10, 1));
+        assert_eq!(s.predicate_hits(col(9), 0, 10), 0);
     }
 
     #[test]
     fn ranges_outside_the_predicate_domain_are_never_hot() {
-        // Regression: ranges disjoint from [predicate_min, predicate_max)
-        // used to clamp into the edge bucket and inherit its hit count, so
-        // brand-new cold ranges were misclassified as hot.
-        let s = KernelStatistics::new(32);
+        // Regression from the bucketed detector: ranges disjoint from the
+        // predicate domain inherited an edge bucket's hits. The sketch is
+        // keyed by exact predicates, so such ranges read no hits at all.
+        let s = KernelStatistics::new();
         s.register_column(col(0), 100_000);
         for _ in 0..10 {
             s.record_query(col(0), 0, 1000, 0.01);
         }
-        let a = s.column(col(0)).unwrap();
-        // Inside the domain: hot.
-        assert!(a.hot_hits(0, 1000) >= 10);
+        assert_eq!(s.predicate_hits(col(0), 0, 1000), 10);
         // Entirely above the domain (lo >= pmax): cold, even right at the
         // boundary and far away.
-        assert_eq!(a.hot_hits(1000, 2000), 0);
-        assert_eq!(a.hot_hits(90_000, 90_100), 0);
-        assert!(!s.is_hot_range(col(0), 90_000, 90_100, 1));
+        assert_eq!(s.predicate_hits(col(0), 1000, 2000), 0);
+        assert_eq!(s.predicate_hits(col(0), 90_000, 90_100), 0);
         // Entirely below the domain (hi <= pmin): cold.
-        assert_eq!(a.hot_hits(-500, 0), 0);
-        assert!(!s.is_hot_range(col(0), -500, 0, 1));
-        // Overlapping the domain edge still counts.
-        assert!(a.hot_hits(900, 1100) >= 10);
+        assert_eq!(s.predicate_hits(col(0), -500, 0), 0);
+    }
+
+    /// A uniform 1 % range over a 2^22 domain.
+    fn uniform_range(rng: &mut rand::rngs::StdRng) -> (Value, Value) {
+        use rand::Rng;
+        const DOMAIN: Value = 1 << 22;
+        let width = DOMAIN / 100;
+        let lo = rng.gen_range(0..DOMAIN - width);
+        (lo, lo + width)
+    }
+
+    /// `queries` uniform 1 % ranges recorded on column 0 of a fresh store.
+    fn steady_state(queries: usize) -> (KernelStatistics, rand::rngs::StdRng) {
+        use rand::SeedableRng;
+        let s = KernelStatistics::new();
+        s.register_column(col(0), 1 << 22);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for _ in 0..queries {
+            let (lo, hi) = uniform_range(&mut rng);
+            s.record_query(col(0), lo, hi, 0.01);
+        }
+        (s, rng)
+    }
+
+    #[test]
+    fn fresh_ranges_stay_cold_at_steady_state() {
+        // The bucketed detector read 100 % of fresh ranges as hot after
+        // about 1,000 uniform queries; the sketch's counts decay.
+        let threshold = crate::HolisticConfig::default().hot_range_query_threshold;
+        let (s, mut rng) = steady_state(10_000);
+        let hot = (0..10_000)
+            .filter(|_| {
+                let (lo, hi) = uniform_range(&mut rng);
+                s.record_query(col(0), lo, hi, 0.01) >= threshold
+            })
+            .count();
+        assert!(hot <= 100, "{hot} of 10,000 fresh ranges classified hot");
+    }
+
+    #[test]
+    fn a_repeated_range_turns_hot_among_uniform_traffic() {
+        let threshold = crate::HolisticConfig::default().hot_range_query_threshold;
+        let (s, mut rng) = steady_state(10_000);
+        let (lo, hi) = (1_000_003, 1_041_946);
+        let mut first_hot = None;
+        for replay in 1..=100u64 {
+            if s.record_query(col(0), lo, hi, 0.01) >= threshold {
+                first_hot.get_or_insert(replay);
+            }
+            for _ in 0..10 {
+                let (flo, fhi) = uniform_range(&mut rng);
+                s.record_query(col(0), flo, fhi, 0.01);
+            }
+        }
+        let first_hot = first_hot.expect("the repeated range never classified hot");
+        assert!(first_hot <= 16, "hot only at replay {first_hot}");
+        // And it stays hot: the decay keeps about two periods of hits.
+        assert!(s.predicate_hits(col(0), lo, hi) >= threshold);
     }
 
     #[test]
     fn deregister_column_forgets_everything() {
-        let s = KernelStatistics::new(8);
+        let s = KernelStatistics::new();
         s.register_column(col(0), 500);
         s.record_query(col(0), 0, 10, 0.01);
         s.record_query(col(1), 0, 10, 0.01);
@@ -588,7 +636,7 @@ mod tests {
         assert!(s.deregister_column(col(0)));
         assert!(s.column(col(0)).is_none());
         assert_eq!(s.frequency(col(0)), 0.0);
-        assert!(!s.is_hot_range(col(0), 0, 10, 1));
+        assert_eq!(s.predicate_hits(col(0), 0, 10), 0);
         // The workload summary forgets the ghost column too, so the
         // advisor and the remaining columns' frequencies stay consistent.
         let summary = s.summary();
@@ -604,23 +652,24 @@ mod tests {
 
     #[test]
     fn degenerate_predicates_do_not_poison_statistics() {
-        let s = KernelStatistics::new(8);
+        let s = KernelStatistics::new();
         s.record_query(col(0), 10, 10, 0.0);
         s.record_query(col(0), 20, 5, 0.0);
         assert_eq!(s.column(col(0)).unwrap().queries, 2);
-        assert!(!s.is_hot_range(col(0), 0, 100, 1));
+        assert_eq!(s.predicate_hits(col(0), 0, 100), 0);
+        assert_eq!(s.predicate_hits(col(0), 10, 10), 0);
     }
 
     #[test]
     fn frequency_of_unknown_column_is_zero() {
-        let s = KernelStatistics::new(8);
+        let s = KernelStatistics::new();
         assert_eq!(s.frequency(col(3)), 0.0);
         assert_eq!(s.total_queries(), 0);
     }
 
     #[test]
     fn recording_is_shared_reference_safe() {
-        let s = std::sync::Arc::new(KernelStatistics::new(16));
+        let s = std::sync::Arc::new(KernelStatistics::new());
         let mut handles = Vec::new();
         for t in 0..4u32 {
             let s = std::sync::Arc::clone(&s);

@@ -86,13 +86,15 @@ fn range(i: i64) -> (i64, i64) {
     (lo, lo + ROWS / 100)
 }
 
-fn resolved_executes_allocate_nothing(strategy: IndexingStrategy) {
-    // Hot-range boosting off (as on a converged benchmark column): a boost
-    // would crack, and cracking may allocate.
-    let config = HolisticConfig {
-        hot_range_query_threshold: u64::MAX,
-        ..HolisticConfig::default().with_paranoia(false)
-    };
+/// Runs 10,000 resolved executes on a warmed column under `config`, each
+/// range replayed `burst` times in a row, and checks that they allocate
+/// nothing and crack nothing.
+fn resolved_executes_allocate_nothing(
+    strategy: IndexingStrategy,
+    config: HolisticConfig,
+    burst: i64,
+) {
+    let threshold = config.hot_range_query_threshold;
     let mut db = Database::new(config, strategy);
     let values: Vec<i64> = (0..ROWS).map(|i| (i * 48_271) % ROWS).collect();
     let table = db.create_table("t", vec![("v", values)]).expect("table");
@@ -115,7 +117,7 @@ fn resolved_executes_allocate_nothing(strategy: IndexingStrategy) {
     let allocations = allocations_during(|| {
         for i in 0..RESOLVED_EXECUTES {
             let r = db
-                .execute(&queries[(i % RANGES) as usize])
+                .execute(&queries[((i / burst) % RANGES) as usize])
                 .expect("resolved query");
             checksum += r.sum + i128::from(r.count);
         }
@@ -130,12 +132,33 @@ fn resolved_executes_allocate_nothing(strategy: IndexingStrategy) {
         "{strategy}: nothing cracked"
     );
     assert_ne!(checksum, 0);
+    if burst as u64 >= threshold {
+        // Every range was hot, so every boost ran its floor check.
+        let (lo, hi) = range((RESOLVED_EXECUTES / burst - 1) % RANGES);
+        assert!(db.stats().predicate_hits(column, lo, hi) >= threshold);
+    }
 }
 
 #[test]
 fn resolved_reads_allocate_nothing_under_holistic_and_adaptive() {
-    // One test function: the strategies run one after the other on this
+    // Hot-range boosting off (as on a converged benchmark column). One
+    // test function: the strategies run one after the other on this
     // thread, with no other test's allocations in between.
-    resolved_executes_allocate_nothing(IndexingStrategy::Holistic);
-    resolved_executes_allocate_nothing(IndexingStrategy::Adaptive);
+    let config = HolisticConfig {
+        hot_range_query_threshold: u64::MAX,
+        ..HolisticConfig::default().with_paranoia(false)
+    };
+    resolved_executes_allocate_nothing(IndexingStrategy::Holistic, config.clone(), 1);
+    resolved_executes_allocate_nothing(IndexingStrategy::Adaptive, config, 1);
+}
+
+#[test]
+fn resolved_reads_allocate_nothing_under_the_defaults() {
+    // Boosting on. The pieces, about 250 values each, sit below the
+    // default cache floor of 4,096: the ranges cycled one by one never
+    // turn hot, and ranges replayed 16 times in a row do, so their boosts
+    // run the floor check, which must stop them without allocating.
+    let config = HolisticConfig::default().with_paranoia(false);
+    resolved_executes_allocate_nothing(IndexingStrategy::Holistic, config.clone(), 1);
+    resolved_executes_allocate_nothing(IndexingStrategy::Holistic, config, 16);
 }

@@ -82,6 +82,10 @@ pub struct LatchStats {
     pub aggregate_partials: u64,
     /// Count/sum answers with no cached piece sum available at all.
     pub aggregate_misses: u64,
+    /// Exclusive shard-latch acquisitions by hot-range boosts
+    /// ([`ConcurrentCrackerColumn::refine_in_ranges`]): one per shard
+    /// pass in which some boost pivot still landed above the floor.
+    pub boost_exclusive: u64,
 }
 
 /// How a batch of count/sum answers was produced by the per-piece aggregate
@@ -143,6 +147,11 @@ impl AggregateCacheDelta {
     }
 }
 
+/// A counter on a cache line of its own.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct OwnLine(AtomicU64);
+
 /// Lock-free storage behind [`LatchStats`].
 #[derive(Debug, Default)]
 struct AtomicLatchStats {
@@ -153,6 +162,9 @@ struct AtomicLatchStats {
     aggregate_prefix: AtomicU64,
     aggregate_partials: AtomicU64,
     aggregate_misses: AtomicU64,
+    /// Off the select counters' line: a boost that passes its floor check
+    /// writes it, and no resolved select may share a line with that write.
+    boost_exclusive: OwnLine,
 }
 
 impl AtomicLatchStats {
@@ -165,6 +177,7 @@ impl AtomicLatchStats {
             aggregate_prefix: self.aggregate_prefix.load(Ordering::Relaxed),
             aggregate_partials: self.aggregate_partials.load(Ordering::Relaxed),
             aggregate_misses: self.aggregate_misses.load(Ordering::Relaxed),
+            boost_exclusive: self.boost_exclusive.0.load(Ordering::Relaxed),
         }
     }
 
@@ -239,11 +252,21 @@ pub struct BatchSelectOutcome {
     pub cache: AggregateCacheDelta,
 }
 
-/// Everything one *batched* hot-range refinement pass through the latch
-/// produced (see [`ConcurrentCrackerColumn::refine_in_ranges`]).
+/// Average piece length of `pieces` pieces holding `len` values (0 for no
+/// piece).
+fn avg_len(len: usize, pieces: usize) -> f64 {
+    if pieces == 0 {
+        0.0
+    } else {
+        len as f64 / pieces as f64
+    }
+}
+
+/// Everything one hot-range boost pass produced (see
+/// [`ConcurrentCrackerColumn::refine_in_ranges`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchRefineOutcome {
-    /// How many of the applied actions introduced a new piece.
+    /// How many of the boost's cracks introduced a new piece.
     pub splits: u64,
     /// Piece count right after the pass.
     pub piece_count: usize,
@@ -459,21 +482,13 @@ impl ConcurrentCrackerColumn {
     /// Current average piece length (over all shards' pieces).
     #[must_use]
     pub fn avg_piece_len(&self) -> f64 {
-        let shards = self.shard_handles();
-        if shards.len() == 1 {
-            return shards[0].inner.read().avg_piece_len();
-        }
         let (mut len, mut pieces) = (0usize, 0usize);
-        for s in &shards {
+        for s in &self.shard_handles() {
             let g = s.inner.read();
             len += g.len();
             pieces += g.piece_count();
         }
-        if pieces == 0 {
-            0.0
-        } else {
-            len as f64 / pieces as f64
-        }
+        avg_len(len, pieces)
     }
 
     /// Total crack actions applied so far (query-driven plus auxiliary,
@@ -1180,103 +1195,94 @@ impl ConcurrentCrackerColumn {
         self.refine(rng).split
     }
 
-    /// Applies one auxiliary refinement action restricted to the value range
-    /// `[lo, hi)` (hot-range boosting), reporting the action's effect and
-    /// dispatch delta.
-    pub fn refine_in_range<R: Rng + ?Sized>(
-        &self,
-        lo: Value,
-        hi: Value,
-        rng: &mut R,
-    ) -> RefineOutcome {
-        if let Some(shard) = self.sole_shard() {
-            let mut guard = shard.inner.write();
-            let before = guard.kernel_dispatches();
-            let split = guard.random_crack_in_range(lo, hi, rng);
-            if split {
-                self.stats.refinements.fetch_add(1, Ordering::Relaxed);
-            }
-            return RefineOutcome {
-                split,
-                piece_count: guard.piece_count(),
-                avg_piece_len: guard.avg_piece_len(),
-                dispatches: guard.kernel_dispatches().since(before),
-            };
-        }
-        // Every shard covers the full value domain (sharding is by row id),
-        // so a hot value range is refined on a randomly chosen shard.
-        let shards = self.shard_handles();
-        let idx = rng.gen_range(0..shards.len());
-        let (split, dispatches) = {
-            let mut guard = shards[idx].inner.write();
-            let before = guard.kernel_dispatches();
-            let split = guard.random_crack_in_range(lo, hi, rng);
-            (split, guard.kernel_dispatches().since(before))
-        };
-        if split {
-            self.stats.refinements.fetch_add(1, Ordering::Relaxed);
-        }
-        RefineOutcome {
-            split,
-            piece_count: self.piece_count(),
-            avg_piece_len: self.avg_piece_len(),
-            dispatches,
-        }
-    }
-
-    /// Applies `per_range` auxiliary refinement actions restricted to each
-    /// of `ranges` under a **single** exclusive-latch acquisition — the
-    /// batched form of [`ConcurrentCrackerColumn::refine_in_range`], used
-    /// for hot-range boosting of a whole query batch (one latch round trip
-    /// instead of one per boost per hot query).
+    /// Hot-range boosting: up to `per_range` auxiliary cracks at random
+    /// pivots inside each of `ranges`, skipping every pivot whose crack
+    /// would not pay — one on a resolved boundary, in a sorted piece (which
+    /// answers by binary search with zero reads), or in a piece of at most
+    /// `floor` values (cache-resident).
+    ///
+    /// Every check runs under the shared latch first. `rng` is drawn from
+    /// only once some range still holds a piece above the floor, so a
+    /// converged range costs one shared pass per shard, allocates nothing
+    /// and never takes an exclusive latch. A shard's exclusive latch is
+    /// taken once, and only when one of its pivots passes; under it the
+    /// pivots are checked again, since a contender may have cracked in
+    /// between. Those acquisitions are counted in
+    /// [`LatchStats::boost_exclusive`].
     pub fn refine_in_ranges<R: Rng + ?Sized>(
         &self,
         ranges: &[(Value, Value)],
         per_range: u64,
+        floor: usize,
         rng: &mut R,
     ) -> BatchRefineOutcome {
-        if let Some(shard) = self.sole_shard() {
-            let mut guard = shard.inner.write();
-            let before = guard.kernel_dispatches();
-            let mut splits = 0u64;
-            for &(lo, hi) in ranges {
-                for _ in 0..per_range {
-                    if guard.random_crack_in_range(lo, hi, rng) {
-                        splits += 1;
-                    }
-                }
+        // The sole shard is borrowed without building a handle list.
+        let sole = self.sole_shard();
+        let handles;
+        let shards: &[Arc<Shard>] = match &sole {
+            Some(shard) => std::slice::from_ref(shard),
+            None => {
+                handles = self.shard_handles();
+                &handles
             }
-            if splits > 0 {
-                self.stats.refinements.fetch_add(splits, Ordering::Relaxed);
+        };
+        // Shared pass: the shards that still hold a piece worth a boost
+        // crack, and the column's shape in case none does.
+        let mut live = Vec::new();
+        let (mut len, mut pieces) = (0usize, 0usize);
+        for (i, sh) in shards.iter().enumerate() {
+            let guard = sh.inner.read();
+            len += guard.len();
+            pieces += guard.piece_count();
+            if ranges
+                .iter()
+                .any(|&(lo, hi)| guard.crack_pays_in(lo, hi, floor))
+            {
+                live.push(i);
             }
+        }
+        if live.is_empty() {
             return BatchRefineOutcome {
-                splits,
-                piece_count: guard.piece_count(),
-                avg_piece_len: guard.avg_piece_len(),
-                dispatches: guard.kernel_dispatches().since(before),
+                splits: 0,
+                piece_count: pieces,
+                avg_piece_len: avg_len(len, pieces),
+                dispatches: KernelDispatches::default(),
             };
         }
-        // Draw each action's shard assignment up front (deterministic rng
-        // order), then take each shard's latch once for its share of the
-        // batch — one latch round trip per *shard*, not per action.
-        let shards = self.shard_handles();
-        let mut per_shard: Vec<Vec<(Value, Value)>> = vec![Vec::new(); shards.len()];
-        for &(lo, hi) in ranges {
+        // Every shard covers the full value domain (sharding is by row id),
+        // so each action goes to a randomly chosen live shard.
+        let mut pivots: Vec<Vec<Value>> = vec![Vec::new(); shards.len()];
+        for &(lo, hi) in ranges.iter().filter(|&&(lo, hi)| hi > lo) {
             for _ in 0..per_range {
-                per_shard[rng.gen_range(0..shards.len())].push((lo, hi));
+                let shard = if live.len() == 1 {
+                    live[0]
+                } else {
+                    live[rng.gen_range(0..live.len())]
+                };
+                pivots[shard].push(rng.gen_range(lo..hi));
             }
         }
         let mut splits = 0u64;
         let mut dispatches = KernelDispatches::default();
-        for (sh, actions) in shards.iter().zip(per_shard) {
-            if actions.is_empty() {
+        for (sh, mut pivots) in shards.iter().zip(pivots) {
+            if pivots.is_empty() {
                 continue;
             }
+            {
+                let guard = sh.inner.read();
+                pivots.retain(|&p| guard.crack_pays_at(p, floor));
+            }
+            if pivots.is_empty() {
+                continue;
+            }
+            self.stats.boost_exclusive.0.fetch_add(1, Ordering::Relaxed);
             let mut guard = sh.inner.write();
             let before = guard.kernel_dispatches();
-            for (lo, hi) in actions {
-                if guard.random_crack_in_range(lo, hi, rng) {
-                    splits += 1;
+            for p in pivots {
+                if guard.crack_pays_at(p, floor) {
+                    let n = guard.piece_count();
+                    guard.crack_at(p);
+                    splits += u64::from(guard.piece_count() > n);
                 }
             }
             dispatches.add(guard.kernel_dispatches().since(before));
@@ -1284,24 +1290,18 @@ impl ConcurrentCrackerColumn {
         if splits > 0 {
             self.stats.refinements.fetch_add(splits, Ordering::Relaxed);
         }
+        let (mut len, mut pieces) = (0usize, 0usize);
+        for sh in shards {
+            let guard = sh.inner.read();
+            len += guard.len();
+            pieces += guard.piece_count();
+        }
         BatchRefineOutcome {
             splits,
-            piece_count: self.piece_count(),
-            avg_piece_len: self.avg_piece_len(),
+            piece_count: pieces,
+            avg_piece_len: avg_len(len, pieces),
             dispatches,
         }
-    }
-
-    /// Applies one auxiliary refinement action restricted to the value range
-    /// `[lo, hi)` (hot-range boosting). Returns `true` if a new piece was
-    /// introduced.
-    pub fn random_crack_in_range<R: Rng + ?Sized>(
-        &self,
-        lo: Value,
-        hi: Value,
-        rng: &mut R,
-    ) -> bool {
-        self.refine_in_range(lo, hi, rng).split
     }
 
     /// Builds prefix-sum arrays for every sorted piece that lacks one,
@@ -1861,8 +1861,11 @@ mod tests {
         assert!(effective <= 1);
         assert_eq!(converged.latch_stats().refinements, effective);
 
-        // Same contract for the hot-range variant.
-        assert!(!converged.random_crack_in_range(5, 5, &mut rng));
+        // Same contract for hot-range boosts.
+        assert_eq!(
+            converged.refine_in_ranges(&[(5, 5)], 1, 0, &mut rng).splits,
+            0
+        );
         assert_eq!(converged.latch_stats().refinements, effective);
     }
 

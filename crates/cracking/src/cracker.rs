@@ -816,6 +816,40 @@ impl CrackerColumn {
         self.index.piece_count() > before
     }
 
+    /// Whether a crack at `pivot` would still pay: the pivot is no resolved
+    /// boundary and lands in an unsorted piece of more than `floor` values.
+    /// A sorted piece already answers by binary search with zero reads, and
+    /// a piece within the floor is cache-resident, so cracking either buys
+    /// nothing.
+    #[must_use]
+    pub(crate) fn crack_pays_at(&self, pivot: Value, floor: usize) -> bool {
+        let Some(idx) = self.index.find_piece_for_value(pivot) else {
+            return false;
+        };
+        let p = &self.index.pieces()[idx];
+        !p.sorted && p.len() > floor && self.index.resolved_boundary(pivot).is_none()
+    }
+
+    /// Whether a crack at some pivot in `[lo, hi)` could still pay (see
+    /// [`CrackerColumn::crack_pays_at`]): some piece holding values of the
+    /// range is unsorted and longer than `floor`. Reads only the piece
+    /// table.
+    #[must_use]
+    pub(crate) fn crack_pays_in(&self, lo: Value, hi: Value, floor: usize) -> bool {
+        if hi <= lo {
+            return false;
+        }
+        let (Some(first), Some(last)) = (
+            self.index.find_piece_for_value(lo),
+            self.index.find_piece_for_value(hi - 1),
+        ) else {
+            return false;
+        };
+        self.index.pieces()[first..=last]
+            .iter()
+            .any(|p| !p.sorted && p.len() > floor)
+    }
+
     /// Applies `actions` auxiliary refinement actions and returns how many
     /// of them introduced a new piece.
     pub fn random_cracks<R: Rng + ?Sized>(&mut self, actions: u64, rng: &mut R) -> u64 {

@@ -25,7 +25,6 @@
 //! |    30 | Column      | per-shard `ConcurrentCrackerColumn` piece-table latch |
 //! |    40 | Online      | `Database::online` tuner state                |
 //! |    50 | StatsMap    | `KernelStatistics::columns` map lock          |
-//! |    60 | Histogram   | per-column `ColumnStats::predicate`           |
 //!
 //! A thread may hold any subset of these simultaneously as long as it
 //! acquired them in strictly increasing level order; two locks at the
@@ -106,12 +105,11 @@ pub enum LockLevel {
     Column = 30,
     /// `Database::online`: the online tuner state.
     Online = 40,
-    /// `KernelStatistics::columns`: the per-column statistics map.
+    /// `KernelStatistics::columns`: the per-column statistics map — the
+    /// deepest level. Its entries are fixed-size atomics, so a resolved
+    /// query takes no lock after its column latch but this map's read
+    /// guard.
     StatsMap = 50,
-    /// Per-column predicate histogram (`ColumnStats::predicate`): the
-    /// deepest level, and the only lock a resolved query takes after its
-    /// column latch.
-    Histogram = 60,
 }
 
 // --- enforcement switch ----------------------------------------------------
@@ -572,10 +570,10 @@ mod tests {
         on();
         let engine = OrderedRwLock::new(LockLevel::Engine, "engine", 1);
         let column = OrderedRwLock::new(LockLevel::Column, "column", 2);
-        let histogram = OrderedMutex::new(LockLevel::Histogram, "histogram", 3);
+        let online = OrderedMutex::new(LockLevel::Online, "online", 3);
         let e = engine.read();
         let c = column.write();
-        let m = histogram.lock();
+        let m = online.lock();
         assert_eq!((*e, *c, *m), (1, 2, 3));
         assert_eq!(held_locks().len(), 3);
         drop((e, c, m));
@@ -624,7 +622,7 @@ mod tests {
     fn failed_try_acquisition_leaves_no_residue() {
         on();
         let col = OrderedRwLock::new(LockLevel::Column, "col", ());
-        let pen = OrderedMutex::new(LockLevel::Histogram, "pen", ());
+        let pen = OrderedMutex::new(LockLevel::Online, "pen", ());
         let w = col.write();
         let p = pen.lock();
         // Contended try_* from another thread must not leave entries on
@@ -649,8 +647,8 @@ mod tests {
     #[test]
     fn sequential_same_level_is_fine() {
         on();
-        let a = OrderedMutex::new(LockLevel::Histogram, "h1", ());
-        let b = OrderedMutex::new(LockLevel::Histogram, "h2", ());
+        let a = OrderedMutex::new(LockLevel::Online, "o1", ());
+        let b = OrderedMutex::new(LockLevel::Online, "o2", ());
         drop(a.lock());
         drop(b.lock()); // not held simultaneously: allowed
     }
@@ -661,7 +659,7 @@ mod tests {
         assert_eq!(l.level(), LockLevel::StatsMap);
         assert_eq!(l.name(), "s");
         assert_eq!(l.into_inner(), 7);
-        let m = OrderedMutex::new(LockLevel::Histogram, "m", 9);
+        let m = OrderedMutex::new(LockLevel::Online, "m", 9);
         assert_eq!(m.into_inner(), 9);
     }
 }
