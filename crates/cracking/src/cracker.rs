@@ -1171,10 +1171,11 @@ mod tests {
                 CrackKernel::Auto { .. } => unreachable!(),
             }
         }
-        // Auto on a tiny column always resolves to the branchy form.
-        let mut c = CrackerColumn::from_values(sample());
+        // Auto on a column below the threshold resolves to the branchy form.
+        let tiny: Vec<Value> = sample()[..crate::DEFAULT_PREDICATION_THRESHOLD - 1].to_vec();
+        let mut c = CrackerColumn::from_values(tiny);
         c.set_kernel(CrackKernel::auto());
-        let _ = c.crack_select(5, 12);
+        let _ = c.crack_select(5, 14);
         assert_eq!(c.kernel_dispatches().predicated, 0);
         assert!(c.kernel_dispatches().branchy >= 1);
     }

@@ -29,9 +29,10 @@
 //!   middle region is empty, and the only boundary a caller may record in a
 //!   piece index is the one for `lo` (no boundary for `hi` materializes).
 //!
-//! # Branchy vs. predicated
+//! # Physical forms
 //!
-//! Each kernel comes in two physical flavors:
+//! Each kernel comes in two public flavors, and the predicated sum-fused
+//! two-way kernel has a third, vector, implementation under it:
 //!
 //! * the **branchy** reference form (`crack_in_two`, …) uses the classic
 //!   two-pointer / Dutch-national-flag loops whose `if value < pivot`
@@ -41,16 +42,44 @@
 //!   with arithmetic on the comparison result: an unconditional swap plus a
 //!   cursor advanced by `(value < pivot) as usize`. Every iteration executes
 //!   the same instruction stream, so there is nothing to mispredict, at the
-//!   price of always paying the swap's loads and stores.
+//!   price of always paying the swap's loads and stores;
+//! * the **vector** form (private module `simd`) is an in-place AVX-512
+//!   compress partition under [`crack_in_two_sums_pred`] and
+//!   [`crack_in_two_with_rowids_sums_pred`] — and so under the three-way
+//!   (two passes) and `crack_in_k` (recursive sweeps) sum-fused predicated
+//!   kernels that call them, which are the kernels production runs. It is
+//!   picked at run time, with no setting: it runs when the CPU has
+//!   AVX-512F (plus AVX-512VL for row ids) and the piece has at least 16
+//!   values. Otherwise the scalar predicated loop runs unchanged; it is the
+//!   one fallback, kept because hosts without AVX-512 need it and because
+//!   the vector form's two saved 8-value vectors need 16 values. The
+//!   partition saves the first and last 8 values in registers, then loads
+//!   8 values at a time from the side with less free space and writes
+//!   both sides with one full-vector store each. Its **free-space
+//!   invariant**: the free slots always number 16 between steps, so after
+//!   a load both sides hold at least 8 and neither store can leave the
+//!   piece or overwrite an unread value. Sums are fused and exact (32-bit
+//!   halves summed in 64-bit lanes, reduced to `i128` once). The
+//!   plain (non-sum) predicated kernels stay scalar: production does not
+//!   call them.
+//!
+//! The vector and scalar predicated forms produce the same split and the
+//! same sums; like branchy and predicated, they may differ only in the
+//! order *within* each side.
 //!
 //! Mispredict stalls dominate on large out-of-cache pieces, while the extra
 //! memory traffic of predication is felt most when a piece is cache
-//! resident — the same cache-threshold reasoning the holistic kernel's
-//! ranking model uses. [`CrackKernel`] packages that policy: `Auto`
-//! dispatches to the branchy form below a piece-length threshold and to the
-//! predicated form above it.
+//! resident. [`CrackKernel`] packages the choice between branchy and
+//! predicated: `Auto` dispatches to the branchy form below a piece-length
+//! threshold and to the predicated form from it on; the measurements that
+//! set [`DEFAULT_PREDICATION_THRESHOLD`] found predication ahead at every
+//! size measured.
 
 use crate::{RowId, Value};
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod simd;
 
 /// Partitions `data` in place so that all values `< pivot` precede all
 /// values `>= pivot`. Returns the index of the first value `>= pivot`
@@ -515,7 +544,23 @@ pub fn crack_in_two_sums(data: &mut [Value], pivot: Value) -> TwoWaySums {
 }
 
 /// Sum-fused [`crack_in_two_pred`] (branch-free, see [`TwoWaySums`]).
+///
+/// Runs the AVX-512 compress partition when the CPU has it and the piece
+/// has at least 16 values, the scalar predicated loop otherwise (see
+/// "Physical forms" in the module docs).
 pub fn crack_in_two_sums_pred(data: &mut [Value], pivot: Value) -> TwoWaySums {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(sums) = simd::crack_in_two_sums(data, pivot) {
+        return sums;
+    }
+    crack_in_two_sums_scalar(data, pivot)
+}
+
+/// The scalar predicated loop behind [`crack_in_two_sums_pred`]: what
+/// runs on hosts without AVX-512 and on pieces under 16 values. Public so
+/// that benches can price the vector form against it; production calls
+/// [`crack_in_two_sums_pred`].
+pub fn crack_in_two_sums_scalar(data: &mut [Value], pivot: Value) -> TwoWaySums {
     let mut write = 0usize;
     let mut lo_sum = 0i128;
     let mut total_sum = 0i128;
@@ -576,6 +621,10 @@ pub fn crack_in_two_with_rowids_sums(
 
 /// Sum-fused [`crack_in_two_with_rowids_pred`].
 ///
+/// Runs the AVX-512 compress partition (row ids moved with the same masks)
+/// when the CPU has AVX-512F/VL and the piece has at least 16 values, the
+/// scalar predicated loop otherwise.
+///
 /// # Panics
 ///
 /// Panics if `data` and `rowids` have different lengths.
@@ -589,6 +638,20 @@ pub fn crack_in_two_with_rowids_sums_pred(
         rowids.len(),
         "values and rowids must be aligned"
     );
+    #[cfg(target_arch = "x86_64")]
+    if let Some(sums) = simd::crack_in_two_with_rowids_sums(data, rowids, pivot) {
+        return sums;
+    }
+    crack_in_two_with_rowids_sums_scalar(data, rowids, pivot)
+}
+
+/// The scalar predicated loop behind
+/// [`crack_in_two_with_rowids_sums_pred`] (lengths already checked).
+fn crack_in_two_with_rowids_sums_scalar(
+    data: &mut [Value],
+    rowids: &mut [RowId],
+    pivot: Value,
+) -> TwoWaySums {
     let mut write = 0usize;
     let mut lo_sum = 0i128;
     let mut total_sum = 0i128;
@@ -917,17 +980,29 @@ pub fn crack_in_k_with_rowids_sums_pred(
 /// Default piece length (in values) below which [`CrackKernel::Auto`]
 /// dispatches to the branchy kernels.
 ///
-/// Measured on uniform-random pieces (`benches/micro_crack_kernels.rs`),
-/// the predicated form wins at every size from 64 values up (~3.5–3.9× on
-/// cold pieces, ~6× at 1M values), because a random pivot mispredicts the
-/// branchy loop on roughly every other element regardless of cache
-/// residency. The branchy form only wins (~1.05–1.1×) when a piece's
-/// content is already partitioned around the pivot — predictable branches —
-/// which in a cracker is most likely for tiny, repeatedly re-cracked
-/// cache-resident pieces. The default therefore keeps branchy only below
-/// 128 values (one kilobyte, where the absolute gap is tens of
-/// nanoseconds) and predicates everything above.
-pub const DEFAULT_PREDICATION_THRESHOLD: usize = 128;
+/// Measured with the sum-fused rows of `benches/micro_crack_kernels.rs`
+/// (uniform-random pieces, each cracked at a pivot drawn from it, at least
+/// 64 Ki values per sample; Intel Xeon with AVX-512, ns per value):
+///
+/// | piece values | branchy | scalar predicated | dispatched predicated |
+/// |-------------:|--------:|------------------:|----------------------:|
+/// | 4            | 3.75    | 1.37              | 1.35 (scalar)         |
+/// | 16           | 3.40    | 1.04              | 1.10 (vector)         |
+/// | 64           | 2.74    | 1.01              | 0.60                  |
+/// | 512          | 2.89    | 1.02              | 0.46                  |
+/// | 64 Ki        | 3.97    | 1.00              | 0.31                  |
+/// | 4 Mi         | 2.79    | 1.16              | 0.81                  |
+///
+/// The predicated forms win at every measured size, the smallest included:
+/// a pivot drawn from the piece mispredicts the branchy loop on about
+/// every other value however small the piece is. The crossover therefore
+/// lies below 4 values, the smallest size measured, and the branchy form
+/// keeps only pieces under 4 values, where the two loops differ by a few
+/// nanoseconds. (The branchy form still wins when a piece is already
+/// partitioned around the pivot — predictable branches — which a cracker
+/// does not produce: a piece is cracked only at a pivot it does not yet
+/// hold as a boundary.)
+pub const DEFAULT_PREDICATION_THRESHOLD: usize = 4;
 
 /// Which physical kernel implementation actually ran for one dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1772,6 +1847,118 @@ mod tests {
             let mut ids: Vec<RowId> = (0..base.len() as RowId).collect();
             let k = kernel.crack_in_k_with_rowids_sums(&mut d, &mut ids, &[3, 7]);
             assert_eq!(k.segment_sums.iter().sum::<i128>(), total);
+        }
+    }
+
+    /// Deterministic full-range `i64`s (SplitMix64), with `i64::MIN`,
+    /// `i64::MAX`, 0 and -1 mixed in so the vector form's `lo32`/`hi32`
+    /// sum split meets its extremes.
+    fn full_range_values(len: usize, seed: u64) -> Vec<Value> {
+        let mut state = seed;
+        (0..len)
+            .map(|i| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                match i % 7 {
+                    0 => i64::MIN,
+                    3 => i64::MAX,
+                    5 => (z % 3) as Value - 1,
+                    _ => (z ^ (z >> 31)) as Value,
+                }
+            })
+            .collect()
+    }
+
+    /// One vector-vs-scalar comparison: same split and sums, each side's
+    /// predicate, the same multiset, and (with row ids) every row id still
+    /// addressing its value.
+    #[cfg(target_arch = "x86_64")]
+    fn check_vector_against_scalar(input: &[Value], pivot: Value) {
+        let mut scalar = input.to_vec();
+        let expected = crack_in_two_sums_scalar(&mut scalar, pivot);
+        assert_eq!(expected.split, input.iter().filter(|&&v| v < pivot).count());
+        assert_eq!(expected.total_sum, slice_sum(input));
+
+        let mut vector = input.to_vec();
+        let got = simd::crack_in_two_sums(&mut vector, pivot)
+            .expect("the vector form runs from 16 values on an AVX-512F host");
+        assert_eq!(got, expected, "len {} pivot {pivot}", input.len());
+        assert_partitioned_two(&vector, got.split, pivot);
+        let mut a = vector;
+        let mut b = scalar;
+        a.sort_unstable();
+        b.sort_unstable();
+        assert_eq!(a, b, "multiset, len {} pivot {pivot}", input.len());
+
+        let mut scalar = input.to_vec();
+        let mut scalar_ids: Vec<RowId> = (0..input.len() as RowId).collect();
+        let expected = crack_in_two_with_rowids_sums_scalar(&mut scalar, &mut scalar_ids, pivot);
+        let mut vector = input.to_vec();
+        let mut ids: Vec<RowId> = (0..input.len() as RowId).collect();
+        let got = simd::crack_in_two_with_rowids_sums(&mut vector, &mut ids, pivot)
+            .expect("the row-id vector form runs from 16 values on an AVX-512F/VL host");
+        assert_eq!(got, expected, "rowids, len {} pivot {pivot}", input.len());
+        assert_partitioned_two(&vector, got.split, pivot);
+        for (&v, &id) in vector.iter().zip(&ids) {
+            assert_eq!(input[id as usize], v, "row id {id} lost its value");
+        }
+        ids.sort_unstable();
+        assert!(ids.iter().enumerate().all(|(i, &id)| id as usize == i));
+    }
+
+    #[test]
+    fn vector_partition_equals_scalar_loop() {
+        #[cfg(target_arch = "x86_64")]
+        let vector = simd::has_rowids_kernel();
+        #[cfg(not(target_arch = "x86_64"))]
+        let vector = false;
+        if !vector {
+            println!(
+                "SKIPPED vector_partition_equals_scalar_loop: no AVX-512F/VL on this host; \
+                 only the scalar loop was checked"
+            );
+        }
+        for len in 0..=80usize {
+            for seed in 0..4u64 {
+                let input = full_range_values(len, seed * 1_000 + len as u64);
+                let mut pivots = vec![i64::MIN, i64::MAX, 0, -1];
+                pivots.extend(input.iter().step_by(5).copied());
+                for &pivot in &pivots {
+                    // The dispatching entry agrees with the scalar loop at
+                    // every length, vector form or not.
+                    let mut scalar = input.clone();
+                    let expected = crack_in_two_sums_scalar(&mut scalar, pivot);
+                    let mut dispatched = input.clone();
+                    assert_eq!(crack_in_two_sums_pred(&mut dispatched, pivot), expected);
+                    assert_partitioned_two(&dispatched, expected.split, pivot);
+                    #[cfg(target_arch = "x86_64")]
+                    if vector && len >= simd::MIN_LEN {
+                        check_vector_against_scalar(&input, pivot);
+                    }
+                }
+            }
+            // All-equal pieces, pivot below, at and above the value.
+            for value in [i64::MIN, -7, 0, i64::MAX] {
+                let input = vec![value; len];
+                for pivot in [i64::MIN, value, value.saturating_add(1), i64::MAX] {
+                    let mut scalar = input.clone();
+                    let expected = crack_in_two_sums_scalar(&mut scalar, pivot);
+                    let mut dispatched = input.clone();
+                    assert_eq!(crack_in_two_sums_pred(&mut dispatched, pivot), expected);
+                    #[cfg(target_arch = "x86_64")]
+                    if vector && len >= simd::MIN_LEN {
+                        check_vector_against_scalar(&input, pivot);
+                    }
+                }
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            // Below the vector threshold the vector entry declines.
+            let mut short = vec![1; simd::MIN_LEN - 1];
+            assert!(simd::crack_in_two_sums(&mut short, 1).is_none());
         }
     }
 

@@ -15,7 +15,10 @@
 //! holistic kernel builds on:
 //!
 //! * [`kernels`] — the in-place partitioning kernels (`crack_in_two`,
-//!   `crack_in_three`), with and without row-id payloads.
+//!   `crack_in_three`, `crack_in_k`), with and without row-id payloads and
+//!   fused sums; the predicated sum-fused ones run an AVX-512 compress
+//!   partition, picked at run time, on hosts that have it (the crate's
+//!   only `unsafe` code, in the private `kernels::simd` module).
 //! * [`piece`] / [`index`] — pieces and the cracker (piece) index.
 //! * [`cracker`] — [`CrackerColumn`]: the query-facing cracked copy of a
 //!   base column, including *random refinement actions* (the building block

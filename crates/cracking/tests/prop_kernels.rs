@@ -14,13 +14,23 @@
 //! pivots outside the value domain, and empty (`hi <= lo`) intervals — are
 //! exercised both through dedicated generators and as boundary cases of the
 //! general ones.
+//!
+//! The sum-fused forms production runs are checked the same way, over
+//! full-range `i64` values: the dispatching `*_sums_pred` kernels (the
+//! AVX-512 compress partition from 16 values on hosts that have it, the
+//! scalar predicated loop otherwise) against the branchy `*_sums` kernels,
+//! including both side sums.
 
 use proptest::prelude::*;
 
 use holistic_cracking::kernels::{
-    crack_in_three, crack_in_three_pred, crack_in_three_with_rowids,
-    crack_in_three_with_rowids_pred, crack_in_two, crack_in_two_pred, crack_in_two_with_rowids,
-    crack_in_two_with_rowids_pred, CrackKernel,
+    crack_in_k_sums, crack_in_k_sums_pred, crack_in_k_with_rowids_sums,
+    crack_in_k_with_rowids_sums_pred, crack_in_three, crack_in_three_pred, crack_in_three_sums,
+    crack_in_three_sums_pred, crack_in_three_with_rowids, crack_in_three_with_rowids_pred,
+    crack_in_three_with_rowids_sums, crack_in_three_with_rowids_sums_pred, crack_in_two,
+    crack_in_two_pred, crack_in_two_sums, crack_in_two_sums_pred, crack_in_two_with_rowids,
+    crack_in_two_with_rowids_pred, crack_in_two_with_rowids_sums,
+    crack_in_two_with_rowids_sums_pred, CrackKernel,
 };
 
 type Value = i64;
@@ -54,8 +64,164 @@ prop_compose! {
     }
 }
 
+prop_compose! {
+    /// Full-range values, with `i64::MIN`, `i64::MAX` and small values mixed
+    /// in so that pivots equal to elements, duplicates and the extremes of
+    /// the sums all come up.
+    fn arb_full_range_piece()(
+        values in prop::collection::vec((any::<i64>(), 0u8..8), 0..600)
+    ) -> Vec<Value> {
+        values
+            .into_iter()
+            .map(|(v, kind)| match kind {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                2 => v % 16,
+                _ => v,
+            })
+            .collect()
+    }
+}
+
+/// A pivot that is an element of `values` when `from_piece` holds (and the
+/// piece is not empty), `any` otherwise.
+fn pick_pivot(values: &[Value], any: Value, at: prop::sample::Index, from_piece: bool) -> Value {
+    if from_piece && !values.is_empty() {
+        values[at.index(values.len())]
+    } else {
+        any
+    }
+}
+
+fn sum(values: &[Value]) -> i128 {
+    values.iter().map(|&v| i128::from(v)).sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn crack_in_two_sums_pred_equals_branchy(
+        values in arb_full_range_piece(),
+        any_pivot in any::<i64>(),
+        at in any::<prop::sample::Index>(),
+        from_piece in any::<bool>(),
+    ) {
+        let pivot = pick_pivot(&values, any_pivot, at, from_piece);
+        let mut branchy = values.clone();
+        let mut pred = values.clone();
+        let expected = crack_in_two_sums(&mut branchy, pivot);
+        let got = crack_in_two_sums_pred(&mut pred, pivot);
+        prop_assert_eq!(got, expected, "split and both sums must match");
+        prop_assert_eq!(got.lo_sum, sum(&pred[..got.split]));
+        prop_assert_eq!(got.total_sum, sum(&values));
+        prop_assert!(pred[..got.split].iter().all(|&v| v < pivot));
+        prop_assert!(pred[got.split..].iter().all(|&v| v >= pivot));
+        prop_assert_eq!(sorted(pred), sorted(values), "multiset must be preserved");
+    }
+
+    #[test]
+    fn crack_in_two_rowids_sums_pred_equals_branchy(
+        values in arb_full_range_piece(),
+        any_pivot in any::<i64>(),
+        at in any::<prop::sample::Index>(),
+        from_piece in any::<bool>(),
+    ) {
+        let pivot = pick_pivot(&values, any_pivot, at, from_piece);
+        let mut branchy = values.clone();
+        let mut branchy_ids = rowids_for(&values);
+        let mut pred = values.clone();
+        let mut pred_ids = rowids_for(&values);
+        let expected = crack_in_two_with_rowids_sums(&mut branchy, &mut branchy_ids, pivot);
+        let got = crack_in_two_with_rowids_sums_pred(&mut pred, &mut pred_ids, pivot);
+        prop_assert_eq!(got, expected);
+        prop_assert!(pred[..got.split].iter().all(|&v| v < pivot));
+        prop_assert!(pred[got.split..].iter().all(|&v| v >= pivot));
+        assert_pairs_preserved(&values, &pred, &pred_ids);
+        let mut ids = pred_ids;
+        ids.sort_unstable();
+        prop_assert_eq!(ids, rowids_for(&values), "row ids must stay a permutation");
+    }
+
+    #[test]
+    fn crack_in_three_sums_pred_equals_branchy(
+        values in arb_full_range_piece(),
+        (any_lo, any_hi) in (any::<i64>(), any::<i64>()),
+        (at_lo, at_hi) in (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+        from_piece in any::<bool>(),
+        with_rowids in any::<bool>(),
+    ) {
+        // Unordered bounds exercise the degenerate `hi <= lo` path too.
+        let lo = pick_pivot(&values, any_lo, at_lo, from_piece);
+        let hi = pick_pivot(&values, any_hi, at_hi, from_piece);
+        let mut branchy = values.clone();
+        let mut pred = values.clone();
+        let (expected, got) = if with_rowids {
+            let mut branchy_ids = rowids_for(&values);
+            let mut pred_ids = rowids_for(&values);
+            let expected = crack_in_three_with_rowids_sums(&mut branchy, &mut branchy_ids, lo, hi);
+            let got = crack_in_three_with_rowids_sums_pred(&mut pred, &mut pred_ids, lo, hi);
+            assert_pairs_preserved(&values, &pred, &pred_ids);
+            (expected, got)
+        } else {
+            (
+                crack_in_three_sums(&mut branchy, lo, hi),
+                crack_in_three_sums_pred(&mut pred, lo, hi),
+            )
+        };
+        prop_assert_eq!(got, expected, "boundaries and region sums must match");
+        prop_assert_eq!(got.sums[0], sum(&pred[..got.a]));
+        prop_assert_eq!(got.sums[1], sum(&pred[got.a..got.b]));
+        prop_assert_eq!(got.sums[2], sum(&pred[got.b..]));
+        prop_assert!(pred[..got.a].iter().all(|&v| v < lo));
+        if hi > lo {
+            prop_assert!(pred[got.a..got.b].iter().all(|&v| v >= lo && v < hi));
+            prop_assert!(pred[got.b..].iter().all(|&v| v >= hi));
+        }
+        prop_assert_eq!(sorted(pred), sorted(values));
+    }
+
+    #[test]
+    fn crack_in_k_sums_pred_equals_branchy(
+        values in arb_full_range_piece(),
+        picks in prop::collection::vec(
+            (any::<i64>(), any::<prop::sample::Index>(), any::<bool>()),
+            0..12,
+        ),
+        with_rowids in any::<bool>(),
+    ) {
+        let mut pivots: Vec<Value> = picks
+            .into_iter()
+            .map(|(v, at, from_piece)| pick_pivot(&values, v, at, from_piece))
+            .collect();
+        pivots.sort_unstable();
+        pivots.dedup();
+        let mut branchy = values.clone();
+        let mut pred = values.clone();
+        let (expected, got) = if with_rowids {
+            let mut branchy_ids = rowids_for(&values);
+            let mut pred_ids = rowids_for(&values);
+            let expected = crack_in_k_with_rowids_sums(&mut branchy, &mut branchy_ids, &pivots);
+            let got = crack_in_k_with_rowids_sums_pred(&mut pred, &mut pred_ids, &pivots);
+            assert_pairs_preserved(&values, &pred, &pred_ids);
+            (expected, got)
+        } else {
+            (
+                crack_in_k_sums(&mut branchy, &pivots),
+                crack_in_k_sums_pred(&mut pred, &pivots),
+            )
+        };
+        prop_assert_eq!(&got, &expected, "boundaries and segment sums must match");
+        if !pivots.is_empty() {
+            let mut cuts = vec![0usize];
+            cuts.extend_from_slice(&got.boundaries);
+            cuts.push(pred.len());
+            for (i, w) in cuts.windows(2).enumerate() {
+                prop_assert_eq!(got.segment_sums[i], sum(&pred[w[0]..w[1]]));
+            }
+        }
+        prop_assert_eq!(sorted(pred), sorted(values));
+    }
 
     #[test]
     fn crack_in_two_pred_equals_branchy(values in arb_piece(), pivot in -1100i64..1100) {
@@ -173,6 +339,13 @@ proptest! {
             let expected = crack_in_two(&mut reference, pivot);
             let got = kernel.crack_in_two(&mut dispatched, pivot);
             prop_assert_eq!(expected, got, "policy {} diverged", kernel);
+            prop_assert_eq!(sorted(dispatched), sorted(values.clone()));
+
+            let mut reference = values.clone();
+            let mut dispatched = values.clone();
+            let expected = crack_in_two_sums(&mut reference, pivot);
+            let got = kernel.crack_in_two_sums(&mut dispatched, pivot);
+            prop_assert_eq!(expected, got, "policy {} diverged on the sums form", kernel);
             prop_assert_eq!(sorted(dispatched), sorted(values.clone()));
         }
     }
